@@ -839,7 +839,7 @@ class SuiteSpec:
 
 
 def _run_item(args) -> list[dict]:
-    kind, g, h, ids, budget = args
+    g, h, ids, budget = args
     env = Env(g, h, budget)
     return [_evaluate_env(tid, env).to_dict() for tid in ids]
 
@@ -856,7 +856,7 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
     items = []
     if unary_ids:
         for g in spec.graphs:
-            items.append(("unary", g, None, unary_ids, spec.budget))
+            items.append((g, None, unary_ids, spec.budget))
     for kind in (CARTESIAN, STRONG):
         if kind not in spec.products:
             continue
@@ -867,7 +867,7 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
             for h in spec.graphs:
                 if spec.max_product is not None and g.n * h.n > spec.max_product:
                     continue
-                items.append((kind, g, h, ids, spec.budget))
+                items.append((g, h, ids, spec.budget))
     if jobs > 1 and len(items) > 1:
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             chunks = pool.map(_run_item, items, chunksize=1)

@@ -47,7 +47,7 @@ from .constructions import (
     strong_case_construction,
     swap_construction,
 )
-from .errors import BudgetExceeded, CapacityError, ParameterError, RomdomError
+from .errors import ParameterError, RomdomError
 from .families import make_family, parse_family
 from .graph6 import parse_graph6, write_graph6
 from .graphs import CARTESIAN, PRODUCT_KINDS, STRONG, Graph, bits, product
@@ -320,13 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ParameterError, CapacityError, BudgetExceeded) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except RomdomError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (RomdomError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, RomdomError
 from .graphs import CARTESIAN, STRONG, Graph, bits, components, product
 from .solvers import (
     RomanFunction,
@@ -47,6 +47,15 @@ def validate_rdf(g: Graph, f: RomanFunction) -> bool:
         if not g.adj[v] & b2:
             return False
     return True
+
+
+def _weighed(recipe: str, rdf: RomanFunction, weight: int) -> RomanFunction:
+    """Return ``rdf`` once its weight matches the recipe's closed form."""
+    if rdf.weight != weight:
+        raise RomdomError(
+            f"{recipe}: the labeling weighs {rdf.weight}, its closed form gives {weight}"
+        )
+    return rdf
 
 
 def _pick(
@@ -121,8 +130,7 @@ def swap_construction(g: Graph, h: Graph, budget: Optional[int] = None) -> Const
             else:
                 labels.append(f2.labels[v])
     weight = g.n * f2.weight - b1.bit_count() * (a0.bit_count() - a2.bit_count())
-    rdf = RomanFunction(tuple(labels))
-    assert rdf.weight == weight
+    rdf = _weighed("swap_construction", RomanFunction(tuple(labels)), weight)
     if any(c.bit_count() > 2 for c in components(g)):
         claimed = (g.n + 1) * f2.weight - 2 * domination_number(h, budget).value
     else:
@@ -149,10 +157,9 @@ def cross_construction(g: Graph, h: Graph, budget: Optional[int] = None) -> Cons
         for v in range(h.n):
             in2 = s2 >> v & 1
             labels.append(2 if in1 and in2 else 1 if not in1 and not in2 else 0)
-    rdf = RomanFunction(tuple(labels))
     k1, k2 = s1.bit_count(), s2.bit_count()
     weight = 2 * k1 * k2 + (g.n - k1) * (h.n - k2)
-    assert rdf.weight == weight
+    rdf = _weighed("cross_construction", RomanFunction(tuple(labels)), weight)
     return ConstructionOutcome(rdf, weight, prod, "gamma-witness")
 
 
@@ -192,9 +199,8 @@ def strong_case_construction(g: Graph, h: Graph, budget: Optional[int] = None) -
     prod = product(g, h, STRONG)
     f1, mode_g = _pick(g, lambda f: f.b2.bit_count(), budget)
     f2, mode_h = _pick(h, lambda f: f.b2.bit_count(), budget)
-    rdf = case_table_labels(g.n, h.n, f1, f2)
     weight = f1.weight * f2.weight - 2 * f1.b2.bit_count() * f2.b2.bit_count()
-    assert rdf.weight == weight
+    rdf = _weighed("strong_case_construction", case_table_labels(g.n, h.n, f1, f2), weight)
     return ConstructionOutcome(rdf, weight, prod, f"g:{mode_g},h:{mode_h}")
 
 

@@ -10,7 +10,8 @@ vertices row-major: vertex (i, j) of a product of g and h gets index
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
 from .config import max_width
 from .errors import CapacityError, ParameterError
@@ -98,6 +99,36 @@ class Graph:
     def closed_adj(self) -> list[int]:
         return [row | (1 << v) for v, row in enumerate(self.adj)]
 
+    @cached_property
+    def vertex_transitive(self) -> bool:
+        """Whether automorphisms carry vertex 0 onto every vertex.
+
+        Computed once per graph object. Vertices that differ in degree,
+        triangle count or number of vertices at distance two settle it at
+        once; otherwise each vertex w outside the orbit of 0 under the
+        automorphisms found so far needs an automorphism mapping 0 to w,
+        looked for by a paired individualization-refinement search (McKay
+        and Piperno, Practical graph isomorphism II, 2014) and checked on
+        every edge before it is trusted.
+        """
+        if len({_local_invariant(self.adj, v) for v in range(self.n)}) > 1:
+            return False
+        nbrs = [list(bits(row)) for row in self.adj]
+        found: list[list[int]] = []
+        orbit = 1
+        for w in range(1, self.n):
+            if orbit >> w & 1:
+                continue
+            a = [0] * self.n
+            b = [0] * self.n
+            a[0] = b[w] = 1
+            sigma = _automorphism(self.adj, nbrs, a, b)
+            if sigma is None:
+                return False
+            found.append(sigma)
+            orbit = _orbit(found, orbit)
+        return True
+
     def name(self) -> str:
         """Printable descriptor: the label if set, else a graph6 string."""
         if self.label:
@@ -105,6 +136,96 @@ class Graph:
         from .graph6 import write_graph6
 
         return write_graph6(self)
+
+
+def _local_invariant(adj: tuple[int, ...], v: int) -> tuple[int, int, int]:
+    """Degree, twice the triangles through v, and the vertices at distance two."""
+    row = adj[v]
+    wedges = 0
+    reach = 0
+    for u in bits(row):
+        wedges += (adj[u] & row).bit_count()
+        reach |= adj[u]
+    return row.bit_count(), wedges, (reach & ~row & ~(1 << v)).bit_count()
+
+
+def _refine_pair(
+    nbrs: list[list[int]], a: list[int], b: list[int]
+) -> Optional[tuple[list[int], list[int]]]:
+    """Refine two colorings of one graph in step, to their equitable partitions.
+
+    A vertex's next color names its color together with the multiset of its
+    neighbors' colors; names come from the signatures in sorted order, so they
+    are shared by both sides and any automorphism carrying a onto b also
+    carries the refined a onto the refined b. Returns None as soon as the two
+    sides' signature multisets differ, which rules such an automorphism out.
+    """
+    k = len(set(a))
+    while True:
+        sa = [(a[v], tuple(sorted([a[u] for u in nb]))) for v, nb in enumerate(nbrs)]
+        sb = [(b[v], tuple(sorted([b[u] for u in nb]))) for v, nb in enumerate(nbrs)]
+        if sorted(sa) != sorted(sb):
+            return None
+        names = {sig: i for i, sig in enumerate(sorted(set(sa)))}
+        a = [names[sig] for sig in sa]
+        b = [names[sig] for sig in sb]
+        if len(names) == k:
+            return a, b
+        k = len(names)
+
+
+def _automorphism(
+    adj: tuple[int, ...], nbrs: list[list[int]], a: list[int], b: list[int]
+) -> Optional[list[int]]:
+    """An automorphism sigma with b[sigma(v)] == a[v] for all v, or None.
+
+    After refinement, the cheap guess that pairs the members of each color
+    class in index order is tried first; failing that, the lowest vertex of
+    the first non-singleton class is individualized on the left against each
+    vertex of that class on the right in turn. Every automorphism respecting
+    the colorings survives some branch, so None means there is none.
+    """
+    pair = _refine_pair(nbrs, a, b)
+    if pair is None:
+        return None
+    a, b = pair
+    n = len(a)
+    k = max(a) + 1
+    cells_a: list[list[int]] = [[] for _ in range(k)]
+    cells_b: list[list[int]] = [[] for _ in range(k)]
+    for v in range(n):
+        cells_a[a[v]].append(v)
+        cells_b[b[v]].append(v)
+    sigma = [0] * n
+    for ca, cb in zip(cells_a, cells_b):
+        for v, w in zip(ca, cb):
+            sigma[v] = w
+    if all(mask_of(sigma[u] for u in nbrs[v]) == adj[sigma[v]] for v in range(n)):
+        return sigma
+    if k == n:
+        return None
+    cell = next(c for c in range(k) if len(cells_a[c]) > 1)
+    a[cells_a[cell][0]] = k
+    for w in cells_b[cell]:
+        b2 = b.copy()
+        b2[w] = k
+        sigma = _automorphism(adj, nbrs, a, b2)
+        if sigma is not None:
+            return sigma
+    return None
+
+
+def _orbit(perms: list[list[int]], orbit: int) -> int:
+    """Close the vertex mask ``orbit`` under the permutations ``perms``."""
+    frontier = orbit
+    while frontier:
+        reached = 0
+        for v in bits(frontier):
+            for p in perms:
+                reached |= 1 << p[v]
+        frontier = reached & ~orbit
+        orbit |= reached
+    return orbit
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> Graph:

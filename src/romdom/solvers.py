@@ -14,6 +14,19 @@ branch-and-bound below only ever explores sets S.
 All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
 search size; running out raises BudgetExceeded rather than returning a guess.
+
+Root symmetry cut. The first root branch of the gamma and gamma_R searches
+puts vertex 0 into S. On a vertex-transitive graph some optimum contains 0,
+since an automorphism maps any member of an optimal S onto 0; for gamma_R
+the only completion with S empty is the all-ones incumbent, in place before
+the search starts. So once that branch returns the optimum is reached, and
+the root may return after it or after any later branch, skipping the rest
+(for gamma_R also the "0 keeps a forced 1" branch). Witnesses do not change:
+the incumbent is replaced only on a strict improvement, so it is still the
+first optimum in search order. Detecting transitivity
+(``Graph.vertex_transitive``, computed once per graph) costs more than a
+small search saves, so it is consulted only when a root branch returns and
+the search has spent at least n^2 nodes.
 """
 
 from __future__ import annotations
@@ -90,6 +103,16 @@ def _closed(g: Graph) -> list[int]:
     return [row | (1 << v) for v, row in enumerate(g.adj)]
 
 
+def _root_cut(g: Graph, ctr: _Counter) -> bool:
+    """Whether the root may skip its remaining branches (the root symmetry
+    cut in the module docstring).
+
+    Called only at the root, after one of its branches returns, so every
+    node counted but the root lies in a finished branch.
+    """
+    return ctr.nodes - 1 >= g.n * g.n and g.vertex_transitive
+
+
 def domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
     """Minimum size of a set whose closed neighborhoods cover every vertex.
 
@@ -143,6 +166,8 @@ def domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult
             t ^= lsb
             u = lsb.bit_length() - 1
             dfs(covered | adjc[u], ex, size + 1, smask | lsb)
+            if not (smask | excluded) and _root_cut(g, ctr):
+                return
             ex |= lsb
     dfs(0, 0, 0, 0)
     return InvariantResult(best, best_mask, ctr.nodes)
@@ -214,6 +239,8 @@ def roman_domination_number(g: Graph, budget: Optional[int] = None) -> Invariant
             t ^= lsb
             u = lsb.bit_length() - 1
             dfs(smask | lsb, covered | adjc[u], ones, ex, cost + 2)
+            if not (smask | excluded) and _root_cut(g, ctr):
+                return
             ex |= lsb
         # no allowed neighbor of v ever takes a 2: v keeps a forced 1
         dfs(smask, covered, ones | (undom & -undom), ex, cost + 1)
@@ -306,8 +333,7 @@ def efficient_dominating_sets(g: Graph, budget: Optional[int] = None) -> list[in
     covers it; closed neighborhoods may not overlap. Every solution has one
     such member, so each is produced exactly once. Any two solutions share
     their size, which equals the domination number (a dominating set meets
-    every chosen closed neighborhood, a 2-packing cannot meet one twice);
-    that is asserted before returning.
+    every chosen closed neighborhood, a 2-packing cannot meet one twice).
     """
     full = g.full_mask
     adjc = _closed(g)
@@ -332,25 +358,17 @@ def efficient_dominating_sets(g: Graph, budget: Optional[int] = None) -> list[in
 
     dfs(0, 0)
     out.sort(key=lambda s: tuple(bits(s)))
-    if out:
-        gamma = domination_number(g, budget).value
-        assert all(s.bit_count() == gamma for s in out)
     return out
 
 
 def is_roman(g: Graph, budget: Optional[int] = None) -> bool:
     """Whether the Roman weight equals twice the domination number.
 
-    Equivalent formulation, cross-checked when the graph is small enough to
-    enumerate: some optimal Roman function uses no 1-labels at all.
+    Equivalently, some optimal Roman function uses no 1-labels at all.
     """
     ga = domination_number(g, budget).value
     gr = roman_domination_number(g, budget).value
-    result = gr == 2 * ga
-    if g.n <= DEFAULT_ENUM_GUARD:
-        no_ones = any(f.b1 == 0 for f in enumerate_optimal_rdfs(g, budget=budget))
-        assert no_ones == result
-    return result
+    return gr == 2 * ga
 
 
 def has_full_degree_vertex(g: Graph, budget: Optional[int] = None) -> bool:

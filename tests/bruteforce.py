@@ -81,6 +81,31 @@ def brute_optimal_rdfs(n: int, edges) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def all_labeled_graphs(max_n: int):
+    """Every labeled graph on 1..max_n vertices, as (n, edge list)."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                yield n, list(edges)
+
+
+def brute_vertex_transitive(n: int, edges) -> bool:
+    """Whether edge-preserving permutations send vertex 0 to every vertex.
+
+    Tries all n! permutations; a bijection that maps every edge onto an edge
+    is an automorphism, since it cannot gain edges.
+    """
+    edge_set = {frozenset(e) for e in edges}
+    images = set()
+    for perm in itertools.permutations(range(n)):
+        if perm[0] not in images and all(
+            frozenset((perm[u], perm[v])) in edge_set for u, v in edge_set
+        ):
+            images.add(perm[0])
+    return len(images) == n
+
+
 def bfs_distances(n: int, edges, source: int) -> list[float]:
     nbrs = _neighbors(n, edges)
     dist: list[float] = [float("inf")] * n

@@ -8,18 +8,22 @@ is an open question.
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+import romdom.constructions
 from romdom import (
     CARTESIAN,
     STRONG,
     ParameterError,
     RomanFunction,
+    RomdomError,
     complete,
     components,
     cross_construction,
@@ -181,6 +185,22 @@ def test_every_construction_is_valid_and_above_exact(build):
 def test_outcome_reports_selection_mode():
     out = swap_construction(path(3), path(4))
     assert "enumerated" in out.selection_mode
+
+
+def test_weight_mismatch_names_the_recipe(monkeypatch):
+    # a labeling that disagrees with the closed form must fail loudly
+    monkeypatch.setattr(romdom.constructions, "case_table_labels",
+                        lambda n1, n2, f1, f2: RomanFunction((1,) * (n1 * n2)))
+    with pytest.raises(RomdomError, match="strong_case_construction"):
+        strong_case_construction(path(3), cycle(4))
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so none may carry runtime behaviour
+    src = Path(romdom.constructions.__file__).parent
+    for module in sorted(src.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), module.name
 
 
 # --- projections -------------------------------------------------------------

@@ -17,6 +17,7 @@ from romdom import (
     components,
     cycle,
     from_edges,
+    hypercube,
     is_connected,
     is_cycle_graph,
     is_path_graph,
@@ -26,6 +27,8 @@ from romdom import (
     square,
     star,
 )
+
+from bruteforce import all_labeled_graphs, brute_vertex_transitive
 
 
 def test_from_edges_basic():
@@ -151,3 +154,49 @@ def test_label_does_not_affect_equality():
 def test_name_falls_back_to_graph6():
     assert from_edges(1, []).name() == "@"
     assert path(4).name() == "P4"
+
+
+def test_vertex_transitive_matches_oracle():
+    for n, edges in all_labeled_graphs(5):
+        g = from_edges(n, edges)
+        assert g.vertex_transitive == brute_vertex_transitive(n, edges), edges
+
+
+def _frucht() -> Graph:
+    # LCF notation [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    ring = [(v, (v + 1) % 12) for v in range(12)]
+    chords = {tuple(sorted((v, (v + s) % 12))) for v, s in enumerate(lcf)}
+    return from_edges(12, ring + sorted(chords), "Frucht")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        product(cycle(6), cycle(7), CARTESIAN),
+        product(complete(4), cycle(11), CARTESIAN),
+        product(hypercube(3), cycle(5), CARTESIAN),
+        product(cycle(5), cycle(5), STRONG),
+    ],
+    ids=lambda g: g.name(),
+)
+def test_transitive_products(g):
+    assert g.vertex_transitive
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        product(path(4), cycle(5), CARTESIAN),
+        product(star(3), star(3), CARTESIAN),
+        # regular, but only the C3 vertices lie on a triangle
+        from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)], "C3+C4"),
+        # regular with equal local invariants: only the search tells them apart
+        from_edges(11, [(v, (v + 1) % 5) for v in range(5)]
+                   + [(5 + v, 5 + (v + 1) % 6) for v in range(6)], "C5+C6"),
+        _frucht(),
+    ],
+    ids=lambda g: g.name(),
+)
+def test_intransitive_graphs(g):
+    assert not g.vertex_transitive

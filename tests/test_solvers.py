@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romdom import (
+    CARTESIAN,
     BudgetExceeded,
     ParameterError,
     RomanFunction,
@@ -20,11 +21,13 @@ from romdom import (
     cycle,
     domination_number,
     efficient_dominating_sets,
+    enumerate_optimal_rdfs,
     from_edges,
     hypercube,
     is_roman,
     mask_of,
     path,
+    product,
     roman_domination_number,
     roman_function_from_b2,
     star,
@@ -32,7 +35,14 @@ from romdom import (
     validate_rdf,
 )
 
-from bruteforce import brute_codes, brute_gamma, brute_gamma_r, brute_gamma_r_subsets, brute_p2
+from bruteforce import (
+    all_labeled_graphs,
+    brute_codes,
+    brute_gamma,
+    brute_gamma_r,
+    brute_gamma_r_subsets,
+    brute_p2,
+)
 
 SOLVER_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -123,6 +133,20 @@ def test_perfect_codes_known():
     assert efficient_dominating_sets(hypercube(3)) == [mask_of([0, 7]), mask_of([1, 6]), mask_of([2, 5]), mask_of([3, 4])]
 
 
+def test_efficient_dominating_sets_have_size_gamma():
+    for n, edges in all_labeled_graphs(5):
+        g = from_edges(n, edges)
+        gamma = domination_number(g).value
+        assert all(s.bit_count() == gamma for s in efficient_dominating_sets(g)), edges
+
+
+def test_is_roman_iff_some_optimum_has_no_ones():
+    for n, edges in all_labeled_graphs(5):
+        g = from_edges(n, edges)
+        no_ones = any(f.b1 == 0 for f in enumerate_optimal_rdfs(g))
+        assert is_roman(g) == no_ones, edges
+
+
 def test_is_roman():
     assert is_roman(complete(3))
     assert is_roman(cycle(6))
@@ -172,3 +196,42 @@ def test_node_counts_are_reported():
     assert res.node_count >= 1
     res_r = roman_domination_number(cycle(12))
     assert res_r.node_count >= 1
+
+
+# Values and witnesses from before the root symmetry cut, and the node counts
+# it then took; the cut may only lower the counts.
+ROOT_CUT_CASES = [
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 5870,
+     20, "220200000000200020000200020200200000000020", 77276),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 2605,
+     16, "2020020000000000002000000000200200202000", 16676),
+]
+
+
+@pytest.mark.parametrize(
+    "g, h, gamma, witness, nodes, gamma_r, labels, nodes_r",
+    ROOT_CUT_CASES,
+    ids=["C6xC7", "Q3xC5"],
+)
+def test_root_cut_keeps_values_and_witnesses(g, h, gamma, witness, nodes, gamma_r, labels, nodes_r):
+    prod = product(g, h, CARTESIAN)
+    assert prod.vertex_transitive
+    res = domination_number(prod)
+    assert (res.value, sorted(bits(res.witness))) == (gamma, witness)
+    assert res.node_count < nodes
+    res_r = roman_domination_number(prod)
+    assert (res_r.value, "".join(map(str, res_r.witness.labels))) == (gamma_r, labels)
+    assert res_r.node_count < nodes_r
+
+
+def test_root_cut_needs_transitivity():
+    # C6xC7 with a pendant vertex 0 hung on vertex 1: not transitive, and its
+    # first root branch, which takes the pendant, spends over n^2 nodes
+    # without reaching the optimum. Some minimum dominating set of C6xC7
+    # holds the hub, and some optimal Roman function labels it 2, so both
+    # values stay C6xC7's.
+    g = product(cycle(6), cycle(7), CARTESIAN)
+    h = from_edges(g.n + 1, [(u + 1, v + 1) for u, v in g.edges()] + [(0, 1)])
+    assert not h.vertex_transitive
+    assert domination_number(h).value == 10
+    assert roman_domination_number(h).value == 20

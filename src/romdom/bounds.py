@@ -47,6 +47,7 @@ from .solvers import (
     domination_number,
     efficient_dominating_sets,
     enumerate_optimal_rdfs,
+    is_roman_values,
     roman_domination_number,
     two_packing_number,
 )
@@ -110,7 +111,7 @@ class Env:
         )
 
     def roman(self, x: str) -> bool:
-        return self.gammar(x) == 2 * self.gamma(x)
+        return is_roman_values(self.gamma(x), self.gammar(x))
 
     def optima(self, x: str):
         return self._get(

@@ -129,7 +129,7 @@ def _solve_one(g: Graph, invariant: str, budget: Optional[int]) -> dict:
 
 def _cmd_solve(args) -> int:
     for g in _solve_sources(args):
-        _emit(_solve_one(g, args.invariant, args.budget or None))
+        _emit(_solve_one(g, args.invariant, args.budget))
     return 0
 
 
@@ -141,7 +141,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_construct(args) -> int:
     fn = _CONSTRUCTIONS[args.theorem]
-    outcome = fn(_graph_arg(args.a), _graph_arg(args.b), budget=args.budget or None)
+    outcome = fn(_graph_arg(args.a), _graph_arg(args.b), budget=args.budget)
     _emit(
         {
             "labels": list(outcome.rdf.labels),
@@ -177,7 +177,7 @@ def _cmd_verify(args) -> int:
         graphs=tuple(_verify_corpus(args)),
         theorems=theorems,
         products=products,
-        budget=args.budget if args.budget > 0 else None,
+        budget=args.budget,
         max_product=args.max_product,
     )
     report = run_suite(spec, jobs=args.jobs)
@@ -221,6 +221,13 @@ def _cmd_premise_check(args) -> int:
     return 0 if report.inequality_holds else 1
 
 
+def _budget(text: str) -> Optional[int]:
+    """Parse ``--budget``: a node cap per solver call, 0 meaning unlimited (None)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a node count >= 0, got {text!r}")
+    return int(text) or None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="romdom",
@@ -232,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(p, default=None):
         p.add_argument(
             "--budget",
-            type=int,
+            type=_budget,
             default=default,
-            help="solver node cap per call (0 or omitted = unlimited for solve/construct)",
+            help=f"solver node cap per call; 0 = unlimited (default {default or 'unlimited'})",
         )
 
     p_solve = sub.add_parser("solve", help="compute one invariant of one or more graphs")
@@ -283,12 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated product kinds to sweep",
     )
     p_ver.add_argument("--max-product", type=int, help="skip pairs whose product exceeds this order")
-    p_ver.add_argument(
-        "--budget",
-        type=int,
-        default=10**8,
-        help="solver node cap per call; 0 = unlimited",
-    )
+    add_budget(p_ver, 10**8)
     p_ver.add_argument("--jobs", type=int, default=1, help="parallel workers; output is identical")
     p_ver.add_argument("--report", help="write the JSON report here instead of stdout")
     p_ver.add_argument("--csv", help="also write a CSV projection here")

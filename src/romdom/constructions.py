@@ -202,32 +202,3 @@ def strong_case_construction(g: Graph, h: Graph, budget: Optional[int] = None) -
     weight = f1.weight * f2.weight - 2 * f1.b2.bit_count() * f2.b2.bit_count()
     rdf = _weighed("strong_case_construction", case_table_labels(g.n, h.n, f1, f2), weight)
     return ConstructionOutcome(rdf, weight, prod, f"g:{mode_g},h:{mode_h}")
-
-
-def project_max(f: RomanFunction, blocks: list[int], h_size: int) -> list[RomanFunction]:
-    """Collapse a product labeling to one labeling per block of first-factor rows.
-
-    For each block the projected label of column v is the maximum of f over
-    the block's rows at that column. ``blocks`` must partition the first
-    factor's vertex set; projections are returned in block order, unchecked
-    for validity.
-    """
-    if h_size < 1 or len(f.labels) % h_size:
-        raise ParameterError(f"labeling of length {len(f.labels)} is not a stack of {h_size}-columns")
-    n1 = len(f.labels) // h_size
-    union = 0
-    total = 0
-    for b in blocks:
-        union |= b
-        total += b.bit_count()
-    if union != (1 << n1) - 1 or total != n1:
-        raise ParameterError("blocks do not partition the first factor's vertices")
-    out = []
-    for b in blocks:
-        rows = list(bits(b))
-        out.append(
-            RomanFunction(
-                tuple(max(f.labels[u * h_size + v] for u in rows) for v in range(h_size))
-            )
-        )
-    return out

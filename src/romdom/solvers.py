@@ -1,42 +1,61 @@
 """Exact solvers for domination-style invariants, on bit-mask graphs.
 
 A Roman function labels vertices 0/1/2 so that every 0 has a neighbor
-labeled 2; its weight is the label sum. The searches here lean on one
-identity: once the set S of 2-labeled vertices is fixed, the cheapest valid
-completion puts a 1 on exactly V minus N[S] (a vertex inside N[S] never needs
-its 1, a vertex outside has no 2-neighbor and must take one), so
+labeled 2; its weight is the label sum. Once the set S of 2-labeled vertices
+is fixed, the cheapest valid completion puts a 1 on exactly V minus N[S] (a
+vertex inside N[S] never needs its 1, a vertex outside has no 2-neighbor and
+must take one), so
 
     gamma_R(G) = min over S of  2|S| + n - |N[S]|.
 
-That shrinks the label search from 3^n labelings to 2^n sets, and the
-branch-and-bound below only ever explores sets S.
+That shrinks the label search from 3^n labelings to 2^n sets.
+
+One covering search. gamma and gamma_R are both the minimum over sets S of
+
+    pick * |S| + miss * |V minus N[S]|,
+
+with pick = 1 and no vertex allowed outside N[S] (miss = None) for gamma,
+and pick = 2, miss = 1 for gamma_R. ``_cover_search`` takes the two costs as
+parameters and runs one branch-and-bound over S. Each node resolves the
+lowest-index vertex v that is neither dominated nor already charged a miss:
+either some allowed member of N[v] joins S (cost pick), and is refused to
+the later siblings, or none ever does and v is charged miss. When miss is
+set, every such vertex with no allowed member of its closed neighborhood is
+charged at once; for gamma the node dies only when its branch vertex has
+none, since scanning every vertex for gamma cost more time than the nodes it
+saved. Bound: with c the best coverage any allowed vertex still offers, each
+of the m unresolved vertices costs at least pick / c, and at most miss, so
+the rest costs at least ceil(pick * m / c), capped at miss * m. The
+incumbent starts at miss * n, the S = empty completion, for gamma_R, and at
+n + 1 for gamma.
 
 All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
 search size; running out raises BudgetExceeded rather than returning a guess.
 
-Root symmetry cut. The first root branch of the gamma and gamma_R searches
-puts vertex 0 into S. On a vertex-transitive graph some optimum contains 0,
-since an automorphism maps any member of an optimal S onto 0; for gamma_R
-the only completion with S empty is the all-ones incumbent, in place before
-the search starts. So once that branch returns the optimum is reached, and
-the root may return after it or after any later branch, skipping the rest
-(for gamma_R also the "0 keeps a forced 1" branch). Witnesses do not change:
-the incumbent is replaced only on a strict improvement, so it is still the
-first optimum in search order. Detecting transitivity
-(``Graph.vertex_transitive``, computed once per graph) costs more than a
-small search saves, so it is consulted only when a root branch returns and
-the search has spent at least n^2 nodes.
+Root symmetry cut. The first root branch of the covering search puts vertex
+0 into S. On a vertex-transitive graph some optimum contains 0, since an
+automorphism maps any member of an optimal S onto 0; for gamma_R the only
+completion with S empty is the incumbent, in place before the search
+starts. So once that branch returns the optimum is reached, and the root
+may return after it or after any later branch, skipping the rest (for
+gamma_R also the "0 is charged miss" branch). Witnesses do not change: the
+incumbent is replaced only on a strict improvement, so it is still the first
+optimum in search order. Detecting transitivity (``Graph.vertex_transitive``,
+computed once per graph) costs more than a small search saves, so it is
+consulted only when a root branch returns and the search has spent at least
+n^2 nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .config import DEFAULT_ENUM_GUARD
 from .errors import BudgetExceeded, CapacityError, ParameterError
-from .graphs import Graph, bits, square
+from .graphs import Graph, bits, mask_of, square
 
 
 @dataclass(frozen=True)
@@ -53,24 +72,17 @@ class RomanFunction:
     def weight(self) -> int:
         return sum(self.labels)
 
-    def level_mask(self, level: int) -> int:
-        m = 0
-        for v, x in enumerate(self.labels):
-            if x == level:
-                m |= 1 << v
-        return m
-
-    @property
+    @cached_property
     def b0(self) -> int:
-        return self.level_mask(0)
+        return mask_of(v for v, x in enumerate(self.labels) if x == 0)
 
-    @property
+    @cached_property
     def b1(self) -> int:
-        return self.level_mask(1)
+        return mask_of(v for v, x in enumerate(self.labels) if x == 1)
 
-    @property
+    @cached_property
     def b2(self) -> int:
-        return self.level_mask(2)
+        return mask_of(v for v, x in enumerate(self.labels) if x == 2)
 
 
 def roman_function_from_b2(n: int, b2: int, b1: int) -> RomanFunction:
@@ -99,10 +111,6 @@ class _Counter:
         self.limit = limit
 
 
-def _closed(g: Graph) -> list[int]:
-    return [row | (1 << v) for v, row in enumerate(g.adj)]
-
-
 def _root_cut(g: Graph, ctr: _Counter) -> bool:
     """Whether the root may skip its remaining branches (the root symmetry
     cut in the module docstring).
@@ -113,84 +121,21 @@ def _root_cut(g: Graph, ctr: _Counter) -> bool:
     return ctr.nodes - 1 >= g.n * g.n and g.vertex_transitive
 
 
-def domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
-    """Minimum size of a set whose closed neighborhoods cover every vertex.
+def _cover_search(
+    g: Graph, budget: Optional[int], pick: int, miss: Optional[int]
+) -> tuple[int, int, int, int]:
+    """Minimize pick * |S| + miss * |V minus N[S]| over vertex sets S, where
+    ``miss=None`` forbids undominated vertices (see the module docstring).
 
-    Branch on the lowest-index uncovered vertex: some member of its closed
-    neighborhood must join the set, and candidates already refused on this
-    path stay refused. The bound charges each future pick with the best
-    coverage any still-allowed vertex offers.
+    Returns the optimum, the first optimal S in search order, the vertices
+    it leaves outside N[S] (charged ``miss`` each), and the node count.
     """
     n = g.n
     full = g.full_mask
-    adjc = _closed(g)
+    adjc = g.closed_adj()
     top = max(m.bit_count() for m in adjc)
     ctr = _Counter(budget)
-    best = n + 1
-    best_mask = 0
-
-    def dfs(covered: int, excluded: int, size: int, smask: int) -> None:
-        nonlocal best, best_mask
-        ctr.nodes += 1
-        if ctr.limit is not None and ctr.nodes > ctr.limit:
-            raise BudgetExceeded(ctr.nodes)
-        if covered == full:
-            if size < best:
-                best = size
-                best_mask = smask
-            return
-        undom = full & ~covered
-        allowed = full & ~excluded
-        maxc = 0
-        t = allowed
-        while t:
-            lsb = t & -t
-            t ^= lsb
-            c = (adjc[lsb.bit_length() - 1] & undom).bit_count()
-            if c > maxc:
-                maxc = c
-                if maxc == top:
-                    break
-        if maxc == 0:
-            return
-        if size + (undom.bit_count() + maxc - 1) // maxc >= best:
-            return
-        v = (undom & -undom).bit_length() - 1
-        cands = adjc[v] & allowed
-        if not cands:
-            return
-        ex = excluded
-        t = cands
-        while t:
-            lsb = t & -t
-            t ^= lsb
-            u = lsb.bit_length() - 1
-            dfs(covered | adjc[u], ex, size + 1, smask | lsb)
-            if not (smask | excluded) and _root_cut(g, ctr):
-                return
-            ex |= lsb
-    dfs(0, 0, 0, 0)
-    return InvariantResult(best, best_mask, ctr.nodes)
-
-
-def roman_domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
-    """Minimum Roman weight, searched over 2-label sets S with forced ones.
-
-    Each branch resolves the lowest-index vertex that is neither dominated
-    nor already charged a 1: either some allowed member of its closed
-    neighborhood joins S (cost 2), or none ever does and the vertex keeps a
-    forced 1 (cost 1). The incumbent starts at the all-ones labeling, which
-    is the S = empty completion. Bound: an uncovered vertex costs at least
-    2/c where c is the best coverage any allowed vertex still offers, and
-    never more than its all-ones fallback of 1, giving ceil(2m/c) on m
-    uncovered vertices when c >= 2, else m.
-    """
-    n = g.n
-    full = g.full_mask
-    adjc = _closed(g)
-    top = max(m.bit_count() for m in adjc)
-    ctr = _Counter(budget)
-    best = n
+    best = n + 1 if miss is None else miss * n
     best_pair = (0, full)
 
     def dfs(smask: int, covered: int, ones: int, excluded: int, cost: int) -> None:
@@ -202,16 +147,17 @@ def roman_domination_number(g: Graph, budget: Optional[int] = None) -> Invariant
             return
         allowed = full & ~excluded
         undom = full & ~covered & ~ones
-        t = undom
-        while t:
-            lsb = t & -t
-            t ^= lsb
-            if not adjc[lsb.bit_length() - 1] & allowed:
-                ones |= lsb
-                cost += 1
-                if cost >= best:
-                    return
-        undom = full & ~covered & ~ones
+        if miss is not None:
+            t = undom
+            while t:
+                lsb = t & -t
+                t ^= lsb
+                if not adjc[lsb.bit_length() - 1] & allowed:
+                    ones |= lsb
+                    undom ^= lsb
+                    cost += miss
+                    if cost >= best:
+                        return
         if not undom:
             best = cost
             best_pair = (smask, ones)
@@ -227,27 +173,44 @@ def roman_domination_number(g: Graph, budget: Optional[int] = None) -> Invariant
                 maxc = c
                 if maxc == top:
                     break
-        lb = m if maxc <= 2 else (2 * m + maxc - 1) // maxc
+        if maxc == 0:
+            return
+        lb = (pick * m + maxc - 1) // maxc
+        if miss is not None and miss * m < lb:
+            lb = miss * m
         if cost + lb >= best:
             return
-        v = (undom & -undom).bit_length() - 1
-        cands = adjc[v] & allowed
+        v = undom & -undom
+        cands = adjc[v.bit_length() - 1] & allowed
+        if not cands:
+            return
         ex = excluded
-        t = cands
-        while t:
-            lsb = t & -t
-            t ^= lsb
-            u = lsb.bit_length() - 1
-            dfs(smask | lsb, covered | adjc[u], ones, ex, cost + 2)
+        while cands:
+            lsb = cands & -cands
+            cands ^= lsb
+            dfs(smask | lsb, covered | adjc[lsb.bit_length() - 1], ones, ex, cost + pick)
             if not (smask | excluded) and _root_cut(g, ctr):
                 return
             ex |= lsb
-        # no allowed neighbor of v ever takes a 2: v keeps a forced 1
-        dfs(smask, covered, ones | (undom & -undom), ex, cost + 1)
+        if miss is not None:
+            # no allowed neighbor of v ever joins S: v is charged miss
+            dfs(smask, covered, ones | v, ex, cost + miss)
 
     dfs(0, 0, 0, 0, 0)
-    b2, b1 = best_pair
-    return InvariantResult(best, roman_function_from_b2(n, b2, b1), ctr.nodes)
+    return best, best_pair[0], best_pair[1], ctr.nodes
+
+
+def domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
+    """Minimum size of a set whose closed neighborhoods cover every vertex."""
+    value, smask, _, nodes = _cover_search(g, budget, pick=1, miss=None)
+    return InvariantResult(value, smask, nodes)
+
+
+def roman_domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
+    """Minimum Roman weight: 2 per vertex of S, plus a forced 1 on each vertex
+    outside N[S]."""
+    value, smask, ones, nodes = _cover_search(g, budget, pick=2, miss=1)
+    return InvariantResult(value, roman_function_from_b2(g.n, smask, ones), nodes)
 
 
 def enumerate_optimal_rdfs(
@@ -268,7 +231,7 @@ def enumerate_optimal_rdfs(
         )
     n = g.n
     full = g.full_mask
-    adjc = _closed(g)
+    adjc = g.closed_adj()
     target = roman_domination_number(g, budget).value
     kmax = target // 2
     found: list[int] = []
@@ -301,7 +264,7 @@ def two_packing_number(g: Graph, budget: Optional[int] = None) -> InvariantResul
     """
     sq = square(g)
     full = sq.full_mask
-    adjc = _closed(sq)
+    adjc = sq.closed_adj()
     ctr = _Counter(budget)
     best = 0
     best_mask = 0
@@ -336,7 +299,7 @@ def efficient_dominating_sets(g: Graph, budget: Optional[int] = None) -> list[in
     every chosen closed neighborhood, a 2-packing cannot meet one twice).
     """
     full = g.full_mask
-    adjc = _closed(g)
+    adjc = g.closed_adj()
     ctr = _Counter(budget)
     out: list[int] = []
 
@@ -361,17 +324,17 @@ def efficient_dominating_sets(g: Graph, budget: Optional[int] = None) -> list[in
     return out
 
 
+def is_roman_values(gamma: int, gamma_r: int) -> bool:
+    """Whether a graph with these domination and Roman domination numbers
+    is Roman: its Roman weight is twice its domination number."""
+    return gamma_r == 2 * gamma
+
+
 def is_roman(g: Graph, budget: Optional[int] = None) -> bool:
     """Whether the Roman weight equals twice the domination number.
 
     Equivalently, some optimal Roman function uses no 1-labels at all.
     """
-    ga = domination_number(g, budget).value
-    gr = roman_domination_number(g, budget).value
-    return gr == 2 * ga
-
-
-def has_full_degree_vertex(g: Graph, budget: Optional[int] = None) -> bool:
-    """Whether some vertex has degree n minus the domination number."""
-    want = g.n - domination_number(g, budget).value
-    return any(d == want for d in g.degrees())
+    return is_roman_values(
+        domination_number(g, budget).value, roman_domination_number(g, budget).value
+    )

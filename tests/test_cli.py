@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from romdom import parse_graph6
 from romdom.cli import main
 
@@ -212,3 +214,25 @@ def test_usage_error_exits_2(capsys):
     assert main(["nonsense-command"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
+
+
+BUDGETED_COMMANDS = {
+    "solve": ("solve", "--family", "cycle:9", "--invariant", "gamma-r"),
+    "construct": ("construct", "--theorem", "flojito", "--a", "path:4", "--b", "path:5"),
+    "verify": ("verify", "--corpus", "exhaustive", "--max-n", "3", "--theorems", "L1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGETED_COMMANDS))
+def test_negative_budget_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, *BUDGETED_COMMANDS[command], "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
+@pytest.mark.parametrize("command", sorted(BUDGETED_COMMANDS))
+def test_zero_budget_is_unlimited(capsys, command):
+    code, out, err = run_cli(capsys, *BUDGETED_COMMANDS[command], "--budget", "0")
+    assert (code, bool(out)) == (0, True)
+    assert "budget_skipped=" not in err or "budget_skipped=0" in err

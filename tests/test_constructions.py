@@ -20,8 +20,6 @@ import pytest
 import romdom.constructions
 from romdom import (
     CARTESIAN,
-    STRONG,
-    ParameterError,
     RomanFunction,
     RomdomError,
     complete,
@@ -30,10 +28,8 @@ from romdom import (
     cycle,
     enumerate_optimal_rdfs,
     from_edges,
-    mask_of,
     path,
     product,
-    project_max,
     replicate_construction,
     roman_domination_number,
     spider,
@@ -201,44 +197,6 @@ def test_package_has_no_assert_statements():
     for module in sorted(src.glob("*.py")):
         tree = ast.parse(module.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), module.name
-
-
-# --- projections -------------------------------------------------------------
-
-
-def test_project_max_constant_one():
-    prod = product(path(3), path(3), CARTESIAN)
-    f = RomanFunction((1,) * prod.n)
-    (proj,) = project_max(f, [path(3).closed(1)], 3)
-    assert proj.labels == (1, 1, 1)
-
-
-def test_project_max_of_replicated_function_is_valid_per_code_block():
-    out = replicate_construction(path(3), path(3))
-    blocks = [path(3).closed(1)]  # closed neighborhood of the perfect code {1}
-    for proj in project_max(out.rdf, blocks, 3):
-        assert validate_rdf(path(3), proj)
-
-
-def test_project_max_strong_product_code_block():
-    g, h = cycle(3), path(4)
-    prod = product(g, h, STRONG)
-    f = roman_domination_number(prod).witness
-    for proj in project_max(f, [g.closed(0)], h.n):
-        assert validate_rdf(h, proj)
-
-
-def test_project_max_requires_partition():
-    f = RomanFunction((1,) * 9)
-    with pytest.raises(ParameterError):
-        project_max(f, [mask_of([0, 1])], 3)
-    with pytest.raises(ParameterError):
-        project_max(f, [mask_of([0, 1, 2]), mask_of([2])], 3)
-
-
-def test_project_max_length_check():
-    with pytest.raises(ParameterError):
-        project_max(RomanFunction((1, 1, 1, 1)), [mask_of([0])], 3)
 
 
 # --- open-question scan (informational) ---------------------------------------

@@ -133,6 +133,15 @@ def test_perfect_codes_known():
     assert efficient_dominating_sets(hypercube(3)) == [mask_of([0, 7]), mask_of([1, 6]), mask_of([2, 5]), mask_of([3, 4])]
 
 
+def test_gamma_and_gamma_r_on_every_small_labeled_graph():
+    # all 1,099 labeled graphs on at most 5 vertices, against both oracles
+    for n, edges in all_labeled_graphs(5):
+        g = from_edges(n, edges)
+        assert domination_number(g).value == brute_gamma(n, edges)[0], edges
+        gamma_r = roman_domination_number(g).value
+        assert gamma_r == brute_gamma_r(n, edges) == brute_gamma_r_subsets(n, edges), edges
+
+
 def test_efficient_dominating_sets_have_size_gamma():
     for n, edges in all_labeled_graphs(5):
         g = from_edges(n, edges)
@@ -198,30 +207,40 @@ def test_node_counts_are_reported():
     assert res_r.node_count >= 1
 
 
-# Values and witnesses from before the root symmetry cut, and the node counts
-# it then took; the cut may only lower the counts.
+# Values and witnesses from before the root symmetry cut, and the exact node
+# counts the covering search takes with it, so that any change to its
+# branching, bound or cut shows up here. P4xC5 is not transitive: no cut.
 ROOT_CUT_CASES = [
-    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 5870,
-     20, "220200000000200020000200020200200000000020", 77276),
-    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 2605,
-     16, "2020020000000000002000000000200200202000", 16676),
+    (cycle(6), cycle(7), True, 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 4242,
+     20, "220200000000200020000200020200200000000020", 32408),
+    (hypercube(3), cycle(5), True, 8, [0, 2, 5, 18, 28, 31, 34, 36], 1701,
+     16, "2020020000000000002000000000200200202000", 6536),
+    (path(4), cycle(5), False, 6, [0, 1, 2, 13, 14, 16], 259,
+     10, "20010002000000202010", 362),
 ]
 
 
 @pytest.mark.parametrize(
-    "g, h, gamma, witness, nodes, gamma_r, labels, nodes_r",
+    "g, h, transitive, gamma, witness, nodes, gamma_r, labels, nodes_r",
     ROOT_CUT_CASES,
-    ids=["C6xC7", "Q3xC5"],
+    ids=["C6xC7", "Q3xC5", "P4xC5"],
 )
-def test_root_cut_keeps_values_and_witnesses(g, h, gamma, witness, nodes, gamma_r, labels, nodes_r):
+def test_root_cut_keeps_values_and_witnesses(
+    g, h, transitive, gamma, witness, nodes, gamma_r, labels, nodes_r
+):
     prod = product(g, h, CARTESIAN)
-    assert prod.vertex_transitive
+    assert prod.vertex_transitive == transitive
     res = domination_number(prod)
-    assert (res.value, sorted(bits(res.witness))) == (gamma, witness)
-    assert res.node_count < nodes
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (gamma, witness, nodes)
     res_r = roman_domination_number(prod)
-    assert (res_r.value, "".join(map(str, res_r.witness.labels))) == (gamma_r, labels)
-    assert res_r.node_count < nodes_r
+    got = (res_r.value, "".join(map(str, res_r.witness.labels)), res_r.node_count)
+    assert got == (gamma_r, labels, nodes_r)
+
+
+def test_root_cut_on_k4_c11():
+    # 379,267 nodes without the cut
+    res = domination_number(product(complete(4), cycle(11), CARTESIAN))
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 96004)
 
 
 def test_root_cut_needs_transitivity():

@@ -57,6 +57,25 @@ from .solvers import (
 # per-instance lazy invariant cache
 
 
+def _memoized(memo: dict, key, fn):
+    """``fn()`` memoized in ``memo`` under ``key``, a BudgetExceeded or
+    CapacityError included: a stored exception is raised again on lookup."""
+    if key in memo:
+        value = memo[key]
+        if isinstance(value, Exception):
+            # a fresh traceback on every raise, so a stored exception does not
+            # collect (and keep alive) the frames of each lookup
+            raise value.with_traceback(None)
+        return value
+    try:
+        value = fn()
+    except (BudgetExceeded, CapacityError) as exc:
+        memo[key] = exc
+        raise
+    memo[key] = value
+    return value
+
+
 class Env:
     """Memoized invariants for one instance (a graph, or an ordered pair)."""
 
@@ -65,6 +84,7 @@ class Env:
         self.h = h
         self.budget = budget
         self._memo: dict = {}
+        self._sweep: Optional[dict] = None
 
     def graph(self, x: str) -> Graph:
         gr = self.g if x == "g" else self.h
@@ -73,18 +93,44 @@ class Env:
         return gr
 
     def _get(self, key, fn):
-        if key in self._memo:
-            value = self._memo[key]
-            if isinstance(value, Exception):
-                raise value
-            return value
+        return _memoized(self._memo, key, fn)
+
+    def _shared(self, key, fn):
+        """``fn()``, through the sweep's memo when the Env belongs to one."""
+        if self._sweep is None:
+            return fn()
+        return _memoized(self._sweep, key, fn)
+
+    def _factor(self, name: str, x: str, solve):
+        gr = self.graph(x)
+        return self._get((name, x), lambda: self._shared((name, gr), lambda: solve(gr)))
+
+    def _product(self, name: str, kind: str, solve):
+        """``solve`` on G x H, shared with the reverse pair of the sweep.
+
+        G x H and H x G are isomorphic, so a value solved on either serves
+        both. A budget or capacity failure is kept for its own orientation
+        only: after one, the other orientation is tried. So the pair's
+        outcome is a success whenever either orientation fits the budget,
+        whichever process met which orientation first, and reports stay the
+        same for every ``jobs``.
+        """
+        own = self.prod(kind)
+        memo = self._sweep
+        if memo is None:
+            return solve(own)
+        g, h = self.g, self.h
+        mine, theirs = (name, kind, g, h), (name, kind, h, g)
+        if theirs in memo and not isinstance(memo[theirs], Exception):
+            return memo[theirs]
         try:
-            value = fn()
-        except (BudgetExceeded, CapacityError) as exc:
-            self._memo[key] = exc
+            return _memoized(memo, mine, lambda: solve(own))
+        except (BudgetExceeded, CapacityError):
+            try:
+                return _memoized(memo, theirs, lambda: solve(product(h, g, kind)))
+            except (BudgetExceeded, CapacityError):
+                pass
             raise
-        self._memo[key] = value
-        return value
 
     # -- factor invariants
 
@@ -95,28 +141,22 @@ class Env:
         return self.graph(x).edge_count()
 
     def gamma(self, x: str) -> int:
-        return self._get(("gamma", x), lambda: domination_number(self.graph(x), self.budget).value)
+        return self._factor("gamma", x, lambda gr: domination_number(gr, self.budget).value)
 
     def gammar(self, x: str) -> int:
-        return self._get(
-            ("gammar", x), lambda: roman_domination_number(self.graph(x), self.budget).value
-        )
+        return self._factor("gammar", x, lambda gr: roman_domination_number(gr, self.budget).value)
 
     def p2(self, x: str) -> int:
-        return self._get(("p2", x), lambda: two_packing_number(self.graph(x), self.budget).value)
+        return self._factor("p2", x, lambda gr: two_packing_number(gr, self.budget).value)
 
     def in_f(self, x: str) -> bool:
-        return self._get(
-            ("in_f", x), lambda: bool(efficient_dominating_sets(self.graph(x), self.budget))
-        )
+        return self._factor("in_f", x, lambda gr: bool(efficient_dominating_sets(gr, self.budget)))
 
     def roman(self, x: str) -> bool:
         return is_roman_values(self.gamma(x), self.gammar(x))
 
     def optima(self, x: str):
-        return self._get(
-            ("optima", x), lambda: enumerate_optimal_rdfs(self.graph(x), budget=self.budget)
-        )
+        return self._factor("optima", x, lambda gr: enumerate_optimal_rdfs(gr, budget=self.budget))
 
     def connected(self, x: str) -> bool:
         return is_connected(self.graph(x))
@@ -140,9 +180,8 @@ class Env:
         try:
             return max(f.b2.bit_count() for f in self.optima(x)), "enumerated"
         except CapacityError:
-            fn = self._get(
-                ("gammar_fn", x),
-                lambda: roman_domination_number(self.graph(x), self.budget).witness,
+            fn = self._factor(
+                "gammar_fn", x, lambda gr: roman_domination_number(gr, self.budget).witness
             )
             return fn.b2.bit_count(), "solver-witness"
 
@@ -158,22 +197,31 @@ class Env:
 
     def gamma_prod(self, kind: str) -> int:
         return self._get(
-            ("gamma_prod", kind), lambda: domination_number(self.prod(kind), self.budget).value
+            ("gamma_prod", kind),
+            lambda: self._product(
+                "gamma_prod", kind, lambda p: domination_number(p, self.budget).value
+            ),
         )
 
     def gammar_prod(self, kind: str) -> int:
         return self._get(
             ("gammar_prod", kind),
-            lambda: roman_domination_number(self.prod(kind), self.budget).value,
+            lambda: self._product(
+                "gammar_prod", kind, lambda p: roman_domination_number(p, self.budget).value
+            ),
         )
 
     def prod_k2(self) -> Graph:
         return self._get(("prod_k2",), lambda: product(self.g, complete(2), CARTESIAN))
 
     def gammar_k2(self) -> int:
-        return self._get(
-            ("gammar_k2",), lambda: roman_domination_number(self.prod_k2(), self.budget).value
-        )
+        def solve() -> int:
+            prod = self.prod_k2()
+            return self._shared(
+                ("gammar_k2", self.g), lambda: roman_domination_number(prod, self.budget).value
+            )
+
+        return self._get(("gammar_k2",), solve)
 
     def witness_payload(self) -> dict:
         """Serializable snapshot of everything solved so far, for violations."""
@@ -839,9 +887,22 @@ class SuiteSpec:
     max_product: Optional[int] = None
 
 
+# The solve memo of the run_suite call in progress in this process, if any:
+# factor invariants keyed by (invariant, graph), product invariants by
+# (invariant, kind, g, h). Graphs compare by order and adjacency, so equal
+# graphs under different labels share.
+_SWEEP: Optional[dict] = None
+
+
+def _start_sweep(memo: Optional[dict]) -> None:
+    global _SWEEP
+    _SWEEP = memo
+
+
 def _run_item(args) -> list[dict]:
     g, h, ids, budget = args
     env = Env(g, h, budget)
+    env._sweep = _SWEEP
     return [_evaluate_env(tid, env).to_dict() for tid in ids]
 
 
@@ -852,6 +913,10 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
     ordered pair, then strong checks per ordered pair, each block in corpus
     order and registry order. The report never contains timestamps, and its
     bytes do not depend on ``jobs``.
+
+    Within one call each solver outcome is computed once per process: every
+    Env of the sweep shares one memo (see ``_SWEEP`` and ``Env._product``),
+    dropped before the call returns.
     """
     unary_ids = [t for t in spec.theorems if THEOREMS[t].kind is None]
     items = []
@@ -870,10 +935,15 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
                     continue
                 items.append((g, h, ids, spec.budget))
     if jobs > 1 and len(items) > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(jobs, initializer=_start_sweep, initargs=({},)) as pool:
             chunks = pool.map(_run_item, items, chunksize=1)
     else:
-        chunks = [_run_item(item) for item in items]
+        _start_sweep({})
+        try:
+            chunks = [_run_item(item) for item in items]
+        finally:
+            _start_sweep(None)
     records = [rec for chunk in chunks for rec in chunk]
     summary = {
         "checked": sum(r["status"] == "checked" for r in records),

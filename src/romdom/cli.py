@@ -228,6 +228,13 @@ def _budget(text: str) -> Optional[int]:
     return int(text) or None
 
 
+def _jobs(text: str) -> int:
+    """Parse ``--jobs``: a worker count >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="romdom",
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--max-product", type=int, help="skip pairs whose product exceeds this order")
     add_budget(p_ver, 10**8)
-    p_ver.add_argument("--jobs", type=int, default=1, help="parallel workers; output is identical")
+    p_ver.add_argument("--jobs", type=_jobs, default=1, help="parallel workers; output is identical")
     p_ver.add_argument("--report", help="write the JSON report here instead of stdout")
     p_ver.add_argument("--csv", help="also write a CSV projection here")
     p_ver.add_argument("--log", help="append timestamped JSONL record lines here")

@@ -109,14 +109,18 @@ class Graph:
         automorphisms found so far needs an automorphism mapping 0 to w,
         looked for by a paired individualization-refinement search (McKay
         and Piperno, Practical graph isomorphism II, 2014) and checked on
-        every edge before it is trusted.
+        every edge before it is trusted. The vertices w are tried from n - 1
+        down: on a graph whose refined partition of the other vertices is one
+        cell (K_n, the empty graph), the first guess for w = n - 1 is then
+        the n-cycle, which closes the orbit at once, where w = 1 would find a
+        transposition and grow the orbit by one vertex per search.
         """
         if len({_local_invariant(self.adj, v) for v in range(self.n)}) > 1:
             return False
         nbrs = [list(bits(row)) for row in self.adj]
         found: list[list[int]] = []
         orbit = 1
-        for w in range(1, self.n):
+        for w in range(self.n - 1, 0, -1):
             if orbit >> w & 1:
                 continue
             a = [0] * self.n

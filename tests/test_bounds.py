@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from romdom import (
     CARTESIAN,
     STRONG,
+    BudgetExceeded,
     Env,
     ParameterError,
     SuiteSpec,
@@ -34,6 +37,7 @@ from romdom import (
     star,
     suite_ok,
 )
+from romdom import bounds
 
 UNARY_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind is None]
 CART_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind == CARTESIAN]
@@ -308,3 +312,134 @@ def test_default_corpus_contents():
         "K1,2", "K1,3",
         "spider(3;1)", "Q3", "K2+K1",
     ]
+
+
+# -- the per-sweep solve memo
+
+
+def _fresh_records(graphs, budget=None):
+    """run_suite's records, each item evaluated on its own fresh Env."""
+    unary = [t for t in THEOREM_ORDER if THEOREMS[t].kind is None]
+    items = [(g, None, unary) for g in graphs]
+    for kind in (CARTESIAN, STRONG):
+        ids = [t for t in THEOREM_ORDER if THEOREMS[t].kind == kind]
+        items += [(g, h, ids) for g in graphs for h in graphs]
+    out = []
+    for g, h, ids in items:
+        env = Env(g, h, budget)
+        out += [bounds._evaluate_env(tid, env).to_dict() for tid in ids]
+    return out
+
+
+def _failing(monkeypatch, tid, kind):
+    # rhs one below lhs: never holds, so the record carries the Env's witnesses
+    spec = THEOREMS[tid]
+    monkeypatch.setitem(
+        THEOREMS,
+        tid,
+        dataclasses.replace(
+            spec,
+            sides=lambda e: ("<=", e.gammar_prod(kind) + e.gamma("g"), e.gammar_prod(kind)),
+        ),
+    )
+
+
+def test_sweep_memo_matches_fresh_envs(monkeypatch):
+    _failing(monkeypatch, "T-lower-ii", CARTESIAN)
+    _failing(monkeypatch, "C-coroloco", STRONG)
+    graphs = tuple(exhaustive_corpus(3))
+    report = run_suite(SuiteSpec(graphs=graphs))
+    assert report["records"] == _fresh_records(graphs)
+    assert not suite_ok(report)
+    assert any("witnesses" in r and "prod_strong" in r["witnesses"] for r in report["records"])
+    assert bounds._SWEEP is None  # dropped before run_suite returns
+
+
+def test_sweep_memo_solves_each_input_once(monkeypatch):
+    calls = {}
+    for name in (
+        "domination_number",
+        "roman_domination_number",
+        "two_packing_number",
+        "efficient_dominating_sets",
+        "enumerate_optimal_rdfs",
+    ):
+        solve = getattr(bounds, name)
+
+        def counted(*args, _solve=solve, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counted)
+    graphs = exhaustive_corpus(3)
+    run_suite(SuiteSpec(graphs=tuple(graphs)))
+    n, pairs = len(graphs), len(graphs) * (len(graphs) + 1) // 2
+    assert (n, pairs) == (11, 66)
+    assert calls == {
+        # one per factor graph, plus one per unordered pair and product kind
+        "domination_number": n + 2 * pairs,
+        # ... plus gamma_R(G x K2) for the five regular graphs with an
+        # efficient dominating set: K1, 2K1, K2, 3K1, K3
+        "roman_domination_number": n + 2 * pairs + 5,
+        "two_packing_number": n,
+        "efficient_dominating_sets": n,
+        "enumerate_optimal_rdfs": n,
+    }
+
+
+# gamma_R(P5 x K4) takes 1,386 nodes and gamma_R(K4 x P5) 576, so at this
+# budget only K4 x P5 fits
+ORIENTED_BUDGET = 1000
+
+
+@pytest.mark.parametrize("order", [(path(5), complete(4)), (complete(4), path(5))],
+                         ids=["P5-first", "K4-first"])
+def test_budget_failure_is_not_shared_across_orientations(monkeypatch, order):
+    solved = []
+    solve = bounds.roman_domination_number
+
+    def recorded(g, budget=None):
+        solved.append(g.name())
+        return solve(g, budget)
+
+    monkeypatch.setattr(bounds, "roman_domination_number", recorded)
+    spec = SuiteSpec(graphs=order, products=(CARTESIAN,), budget=ORIENTED_BUDGET)
+    report = run_suite(spec)
+    monkeypatch.undo()
+    # P5 x K4 runs out once, if met first; K4 x P5 is then solved for both
+    assert solved.count("P5 x K4 cartesian") == (order[0].name() == "P5")
+    assert solved.count("K4 x P5 cartesian") == 1
+    fresh = [r for r in _fresh_records(order, ORIENTED_BUDGET) if r["kind"] != "strong"]
+    assert len(report["records"]) == len(fresh)
+    better = 0
+    for got, want in zip(report["records"], fresh):
+        if got != want:
+            assert (want["status"], got["status"]) == ("budget-skipped", "checked")
+            assert (got["g"], got["h"], got["theorem"]) == ("P5", "K4", want["theorem"])
+            better += 1
+    assert better > 0
+    assert report_to_json(run_suite(spec, jobs=2)) == report_to_json(report)
+
+
+def test_memoized_failure_keeps_its_traceback_short():
+    def traceback_lengths(lookup) -> set[int]:
+        lengths = set()
+        for _ in range(1000):
+            with pytest.raises(BudgetExceeded) as info:
+                lookup()
+            lengths.add(len(traceback.extract_tb(info.value.__traceback__)))
+        return lengths
+
+    env = Env(path(5), budget=1)
+    sweep: dict = {}
+
+    def in_sweep():
+        # a fresh Env each time, so the failure comes from the sweep's memo
+        fresh = Env(path(5), budget=1)
+        fresh._sweep = sweep
+        fresh.gamma("g")
+
+    for lookup in (lambda: env.gamma("g"), in_sweep):
+        with pytest.raises(BudgetExceeded):
+            lookup()  # the solve itself
+        assert len(traceback_lengths(lookup)) == 1

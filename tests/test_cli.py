@@ -236,3 +236,24 @@ def test_zero_budget_is_unlimited(capsys, command):
     code, out, err = run_cli(capsys, *BUDGETED_COMMANDS[command], "--budget", "0")
     assert (code, bool(out)) == (0, True)
     assert "budget_skipped=" not in err or "budget_skipped=0" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_2(capsys, jobs):
+    code, out, err = run_cli(capsys, *BUDGETED_COMMANDS["verify"], "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_verify_jobs_give_identical_bytes(tmp_path, capsys):
+    texts = []
+    for jobs in ("1", "2"):
+        report = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--corpus", "exhaustive", "--max-n", "3",
+            "--jobs", jobs, "--report", str(report),
+        )
+        assert code == 0
+        texts.append(report.read_bytes())
+    assert texts[0] == texts[1]

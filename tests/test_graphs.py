@@ -200,3 +200,17 @@ def test_transitive_products(g):
 )
 def test_intransitive_graphs(g):
     assert not g.vertex_transitive
+
+
+@pytest.mark.parametrize("g", [complete(64), from_edges(64, [], "64K1")], ids=lambda g: g.name())
+def test_vertex_transitive_closes_the_orbit_in_one_search(monkeypatch, g):
+    # the first automorphism found, 0 -> 63, is the 64-cycle
+    from romdom import graphs
+
+    calls = []
+    search = graphs._automorphism
+    monkeypatch.setattr(
+        graphs, "_automorphism", lambda *args: calls.append(1) or search(*args)
+    )
+    assert g.vertex_transitive
+    assert len(calls) <= 2

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import multiprocessing
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -105,32 +106,34 @@ class Env:
         gr = self.graph(x)
         return self._get((name, x), lambda: self._shared((name, gr), lambda: solve(gr)))
 
-    def _product(self, name: str, kind: str, solve):
-        """``solve`` on G x H, shared with the reverse pair of the sweep.
+    def _product(self, name: str, kind: str, solver):
+        return self._get((name, kind), lambda: self._pair_outcome(name, kind, solver))
 
-        G x H and H x G are isomorphic, so a value solved on either serves
-        both. A budget or capacity failure is kept for its own orientation
-        only: after one, the other orientation is tried. So the pair's
-        outcome is a success whenever either orientation fits the budget,
-        whichever process met which orientation first, and reports stay the
-        same for every ``jobs``.
+    def _pair_outcome(self, name: str, kind: str, solver):
+        """``solver``'s value on G x H, shared with H x G through the sweep's memo.
+
+        G x H and H x G are isomorphic, so the sweep keeps one outcome per
+        unordered pair: G x H's value; else, when G x H runs out and H != G,
+        H x G's; else G x H's failure. G is the pair's first orientation in
+        report order, and ``run_suite`` keeps both orientations in one task,
+        so the outcome does not depend on ``jobs``. Outside a sweep only G x H
+        is solved.
         """
         own = self.prod(kind)
-        memo = self._sweep
-        if memo is None:
-            return solve(own)
+        if self._sweep is None:
+            return solver(own, self.budget).value
         g, h = self.g, self.h
-        mine, theirs = (name, kind, g, h), (name, kind, h, g)
-        if theirs in memo and not isinstance(memo[theirs], Exception):
-            return memo[theirs]
-        try:
-            return _memoized(memo, mine, lambda: solve(own))
-        except (BudgetExceeded, CapacityError):
+
+        def either():
             try:
-                return _memoized(memo, theirs, lambda: solve(product(h, g, kind)))
+                return solver(own, self.budget).value
             except (BudgetExceeded, CapacityError):
-                pass
-            raise
+                if h != g:
+                    with suppress(BudgetExceeded, CapacityError):
+                        return solver(product(h, g, kind), self.budget).value
+                raise
+
+        return _memoized(self._sweep, (name, kind, frozenset((g, h))), either)
 
     # -- factor invariants
 
@@ -196,20 +199,10 @@ class Env:
         return self._get(("prod", kind), lambda: product(self.g, self.h, kind))
 
     def gamma_prod(self, kind: str) -> int:
-        return self._get(
-            ("gamma_prod", kind),
-            lambda: self._product(
-                "gamma_prod", kind, lambda p: domination_number(p, self.budget).value
-            ),
-        )
+        return self._product("gamma_prod", kind, domination_number)
 
     def gammar_prod(self, kind: str) -> int:
-        return self._get(
-            ("gammar_prod", kind),
-            lambda: self._product(
-                "gammar_prod", kind, lambda p: roman_domination_number(p, self.budget).value
-            ),
-        )
+        return self._product("gammar_prod", kind, roman_domination_number)
 
     def prod_k2(self) -> Graph:
         return self._get(("prod_k2",), lambda: product(self.g, complete(2), CARTESIAN))
@@ -262,6 +255,20 @@ def _hyp_in_f(env: Env) -> tuple[bool, str]:
     if env.in_f("g"):
         return True, "g has an efficient dominating set"
     return False, "g has no efficient dominating set"
+
+
+def _hyp_h_roman(env: Env) -> tuple[bool, str]:
+    if env.roman("h"):
+        return True, "h is Roman"
+    return False, "h is not Roman"
+
+
+def _hyp_in_f_h_roman(env: Env) -> tuple[bool, str]:
+    if not env.in_f("g"):
+        return False, "g has no efficient dominating set"
+    if env.roman("h"):
+        return True, "g in F, h Roman"
+    return False, "h is not Roman"
 
 
 def _hyp_comp_gt2(env: Env) -> tuple[bool, str]:
@@ -387,7 +394,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "H Roman implies gamma_R(G x H) >= 4*gamma(G)*gamma(H)/3",
-            lambda e: (True, "h is Roman") if e.roman("h") else (False, "h is not Roman"),
+            _hyp_h_roman,
             lambda e: (">=", 6 * e.gammar_prod(CARTESIAN), 8 * e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -395,7 +402,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "H Roman implies gamma(G x H) >= 2*gamma(G)*gamma(H)/3",
-            lambda e: (True, "h is Roman") if e.roman("h") else (False, "h is not Roman"),
+            _hyp_h_roman,
             lambda e: (">=", 6 * e.gamma_prod(CARTESIAN), 4 * e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -428,11 +435,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             1,
             "g efficiently dominatable and H Roman imply gamma_R(G x H) >= 2*gamma(G)*gamma(H)",
-            lambda e: (
-                (False, "g has no efficient dominating set")
-                if not e.in_f("g")
-                else (True, "g in F, h Roman") if e.roman("h") else (False, "h is not Roman")
-            ),
+            _hyp_in_f_h_roman,
             lambda e: (">=", e.gammar_prod(CARTESIAN), 2 * e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -677,11 +680,7 @@ def _registry() -> list[TheoremSpec]:
             STRONG,
             1,
             "g efficiently dominatable and H Roman imply G strong H is Roman",
-            lambda e: (
-                (False, "g has no efficient dominating set")
-                if not e.in_f("g")
-                else (True, "g in F, h Roman") if e.roman("h") else (False, "h is not Roman")
-            ),
+            _hyp_in_f_h_roman,
             lambda e: ("==", e.gammar_prod(STRONG), 2 * e.gamma_prod(STRONG)),
         ),
     ]
@@ -887,23 +886,18 @@ class SuiteSpec:
     max_product: Optional[int] = None
 
 
-# The solve memo of the run_suite call in progress in this process, if any:
-# factor invariants keyed by (invariant, graph), product invariants by
-# (invariant, kind, g, h). Graphs compare by order and adjacency, so equal
-# graphs under different labels share.
-_SWEEP: Optional[dict] = None
-
-
-def _start_sweep(memo: Optional[dict]) -> None:
-    global _SWEEP
-    _SWEEP = memo
-
-
-def _run_item(args) -> list[dict]:
+def _run_item(args, memo: dict) -> list[dict]:
+    """One item's records, its Env solving through the solve memo ``memo``."""
     g, h, ids, budget = args
     env = Env(g, h, budget)
-    env._sweep = _SWEEP
+    env._sweep = memo
     return [_evaluate_env(tid, env).to_dict() for tid in ids]
+
+
+def _run_task(items, memo: Optional[dict] = None) -> list[list[dict]]:
+    """Each item's records, all through one solve memo (a fresh one by default)."""
+    memo = {} if memo is None else memo
+    return [_run_item(item, memo) for item in items]
 
 
 def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
@@ -914,15 +908,16 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
     order and registry order. The report never contains timestamps, and its
     bytes do not depend on ``jobs``.
 
-    Within one call each solver outcome is computed once per process: every
-    Env of the sweep shares one memo (see ``_SWEEP`` and ``Env._product``),
-    dropped before the call returns.
+    A task is the unary items of one graph, or the items of one kind on one
+    unordered pair {G, H} (graphs compare by order and adjacency). A serial
+    sweep runs all tasks through one solve memo, ``jobs > 1`` each task
+    through its own in a process pool; either way each pair is solved once
+    per kind (see ``Env._product``).
     """
     unary_ids = [t for t in spec.theorems if THEOREMS[t].kind is None]
-    items = []
+    keyed = []  # (task key, item) in report order
     if unary_ids:
-        for g in spec.graphs:
-            items.append((g, None, unary_ids, spec.budget))
+        keyed += [(g, (g, None, unary_ids, spec.budget)) for g in spec.graphs]
     for kind in (CARTESIAN, STRONG):
         if kind not in spec.products:
             continue
@@ -933,18 +928,18 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
             for h in spec.graphs:
                 if spec.max_product is not None and g.n * h.n > spec.max_product:
                     continue
-                items.append((g, h, ids, spec.budget))
-    if jobs > 1 and len(items) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_start_sweep, initargs=({},)) as pool:
-            chunks = pool.map(_run_item, items, chunksize=1)
+                keyed.append(((kind, frozenset((g, h))), (g, h, ids, spec.budget)))
+    tasks: dict = {}  # task key -> its items, in report order
+    for key, item in keyed:
+        tasks.setdefault(key, []).append(item)
+    if jobs > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            done = pool.map(_run_task, tasks.values(), chunksize=1)
     else:
-        _start_sweep({})
-        try:
-            chunks = [_run_item(item) for item in items]
-        finally:
-            _start_sweep(None)
-    records = [rec for chunk in chunks for rec in chunk]
+        memo: dict = {}
+        done = [_run_task(items, memo) for items in tasks.values()]
+    chunks = {key: iter(task) for key, task in zip(tasks, done)}
+    records = [rec for key, _ in keyed for rec in next(chunks[key])]
     summary = {
         "checked": sum(r["status"] == "checked" for r in records),
         "held": sum(r["status"] == "checked" and r["holds"] for r in records),

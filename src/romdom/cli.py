@@ -41,6 +41,7 @@ from .bounds import (
     run_suite,
     suite_ok,
 )
+from .config import DEFAULT_SUITE_BUDGET
 from .constructions import (
     cross_construction,
     replicate_construction,
@@ -243,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget(p, default=None):
+    def add_budget(p):
         p.add_argument(
             "--budget",
             type=_budget,
-            default=default,
-            help=f"solver node cap per call; 0 = unlimited (default {default or 'unlimited'})",
+            default=DEFAULT_SUITE_BUDGET,
+            help=f"solver node cap per call; 0 = unlimited (default {DEFAULT_SUITE_BUDGET})",
         )
 
     p_solve = sub.add_parser("solve", help="compute one invariant of one or more graphs")
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated product kinds to sweep",
     )
     p_ver.add_argument("--max-product", type=int, help="skip pairs whose product exceeds this order")
-    add_budget(p_ver, 10**8)
+    add_budget(p_ver)
     p_ver.add_argument("--jobs", type=_jobs, default=1, help="parallel workers; output is identical")
     p_ver.add_argument("--report", help="write the JSON report here instead of stdout")
     p_ver.add_argument("--csv", help="also write a CSV projection here")

@@ -213,21 +213,16 @@ def roman_domination_number(g: Graph, budget: Optional[int] = None) -> Invariant
     return InvariantResult(value, roman_function_from_b2(g.n, smask, ones), nodes)
 
 
-def enumerate_optimal_rdfs(
-    g: Graph,
-    guard: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> list[RomanFunction]:
+def enumerate_optimal_rdfs(g: Graph, budget: Optional[int] = None) -> list[RomanFunction]:
     """All minimum-weight Roman functions, ordered by ascending 2-set mask.
 
     Optimal functions correspond one-to-one with sets S whose completion cost
     2|S| + n - |N[S]| equals gamma_R, with the ones forced onto V minus N[S];
     so it suffices to scan subsets of size at most gamma_R / 2.
     """
-    limit = DEFAULT_ENUM_GUARD if guard is None else guard
-    if g.n > limit:
+    if g.n > DEFAULT_ENUM_GUARD:
         raise CapacityError(
-            f"enumeration guard: {g.n} vertices exceed the configured bound {limit}"
+            f"enumeration guard: {g.n} vertices exceed the configured bound {DEFAULT_ENUM_GUARD}"
         )
     n = g.n
     full = g.full_mask

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import traceback
 
 import pytest
@@ -331,6 +332,21 @@ def _fresh_records(graphs, budget=None):
     return out
 
 
+def _log_solver_calls(monkeypatch, log, products_only):
+    """Wrap bounds' gamma and gamma_R solvers so that every call, in any
+    forked worker too, appends the solver's name and graph to ``log``."""
+    for name in ("domination_number", "roman_domination_number"):
+        solve = getattr(bounds, name)
+
+        def logged(g, *args, _solve=solve, _name=name, **kwargs):
+            if not products_only or " x " in g.name():
+                with open(log, "a", encoding="ascii") as fh:
+                    fh.write(f"{_name} {g.name()}\n")
+            return _solve(g, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, logged)
+
+
 def _failing(monkeypatch, tid, kind):
     # rhs one below lhs: never holds, so the record carries the Env's witnesses
     spec = THEOREMS[tid]
@@ -344,7 +360,7 @@ def _failing(monkeypatch, tid, kind):
     )
 
 
-def test_sweep_memo_matches_fresh_envs(monkeypatch):
+def test_sweep_memo_matches_fresh_envs(monkeypatch, tmp_path):
     _failing(monkeypatch, "T-lower-ii", CARTESIAN)
     _failing(monkeypatch, "C-coroloco", STRONG)
     graphs = tuple(exhaustive_corpus(3))
@@ -352,7 +368,15 @@ def test_sweep_memo_matches_fresh_envs(monkeypatch):
     assert report["records"] == _fresh_records(graphs)
     assert not suite_ok(report)
     assert any("witnesses" in r and "prod_strong" in r["witnesses"] for r in report["records"])
-    assert bounds._SWEEP is None  # dropped before run_suite returns
+    # no memo outlives a call: a second sweep makes the same solver calls
+    log = tmp_path / "calls.txt"
+    _log_solver_calls(monkeypatch, log, products_only=False)
+    calls = []
+    for _ in range(2):
+        run_suite(SuiteSpec(graphs=graphs))
+        calls.append(log.read_text())
+        log.unlink()
+    assert calls[0] == calls[1] and calls[0].count("\n") > len(graphs)
 
 
 def test_sweep_memo_solves_each_input_once(monkeypatch):
@@ -385,6 +409,25 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
         "efficient_dominating_sets": n,
         "enumerate_optimal_rdfs": n,
     }
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the logging wrappers only when forked",
+)
+def test_workers_solve_each_product_once(monkeypatch, tmp_path):
+    # both orientations of a pair go to one task, so summed over workers a
+    # parallel sweep makes the serial sweep's product solves
+    spec = SuiteSpec(graphs=tuple(default_corpus()), max_product=12)
+    log = tmp_path / "solves.txt"
+    _log_solver_calls(monkeypatch, log, products_only=True)
+    solves = {}
+    for jobs in (1, 2):
+        run_suite(spec, jobs=jobs)
+        solves[jobs] = sorted(log.read_text().splitlines())
+        log.unlink()
+    assert solves[1] == solves[2]
+    assert len(solves[1]) > 100
 
 
 # gamma_R(P5 x K4) takes 1,386 nodes and gamma_R(K4 x P5) 576, so at this

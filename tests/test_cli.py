@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from romdom import parse_graph6
-from romdom.cli import main
+from romdom import DEFAULT_SUITE_BUDGET, parse_graph6
+from romdom.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +238,12 @@ def test_zero_budget_is_unlimited(capsys, command):
     assert "budget_skipped=" not in err or "budget_skipped=0" in err
 
 
+@pytest.mark.parametrize("command", sorted(BUDGETED_COMMANDS))
+def test_budget_default_is_the_suite_budget(command):
+    args = build_parser().parse_args(BUDGETED_COMMANDS[command])
+    assert args.budget == DEFAULT_SUITE_BUDGET
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_exits_2(capsys, jobs):
     code, out, err = run_cli(capsys, *BUDGETED_COMMANDS["verify"], "--jobs", jobs)
@@ -257,3 +263,27 @@ def test_verify_jobs_give_identical_bytes(tmp_path, capsys):
         assert code == 0
         texts.append(report.read_bytes())
     assert texts[0] == texts[1]
+
+
+SPAWNED_CLI = """
+import multiprocessing, sys
+from romdom.cli import main
+multiprocessing.set_start_method("spawn")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_verify_jobs_without_fork(tmp_path, capsys):
+    # workers started by spawn, which inherit nothing, give the serial bytes
+    sweep = ("verify", "--corpus", "exhaustive", "--max-n", "3")
+    spawned, serial = tmp_path / "spawned.json", tmp_path / "serial.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWNED_CLI, *sweep, "--jobs", "2", "--report", str(spawned)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, _, _ = run_cli(capsys, *sweep, "--jobs", "1", "--report", str(serial))
+    assert code == 0
+    assert spawned.read_bytes() == serial.read_bytes()

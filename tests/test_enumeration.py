@@ -17,6 +17,7 @@ from romdom import (
     star,
     validate_rdf,
 )
+from romdom import solvers
 
 from bruteforce import brute_optimal_rdfs
 
@@ -71,10 +72,11 @@ def test_cycle5_mixed_two_set_sizes():
     assert sizes == {1, 2}
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_optimal_rdfs(path(27))
-    # explicit guard raise/lower
-    assert enumerate_optimal_rdfs(path(5), guard=5)
+    # a lowered guard admits graphs up to it and refuses larger ones
+    monkeypatch.setattr(solvers, "DEFAULT_ENUM_GUARD", 5)
+    assert enumerate_optimal_rdfs(path(5))
     with pytest.raises(CapacityError):
-        enumerate_optimal_rdfs(path(6), guard=5)
+        enumerate_optimal_rdfs(path(6))

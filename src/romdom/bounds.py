@@ -25,7 +25,7 @@ import io
 import json
 import multiprocessing
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional
 
 from .config import DEFAULT_SUITE_BUDGET
@@ -78,14 +78,20 @@ def _memoized(memo: dict, key, fn):
 
 
 class Env:
-    """Memoized invariants for one instance (a graph, or an ordered pair)."""
+    """Memoized invariants for one instance (a graph, or an ordered pair).
+
+    Every solve goes through the solve memo ``_sweep``: a fresh one per Env,
+    or the one its sweep task shares (``run_suite`` attaches it). The Env's
+    own ``_memo`` keeps the values it has read, keyed by role, for
+    ``witness_payload``; failures are kept only in the solve memo.
+    """
 
     def __init__(self, g: Graph, h: Optional[Graph] = None, budget: Optional[int] = None):
         self.g = g
         self.h = h
         self.budget = budget
         self._memo: dict = {}
-        self._sweep: Optional[dict] = None
+        self._sweep: dict = {}
 
     def graph(self, x: str) -> Graph:
         gr = self.g if x == "g" else self.h
@@ -94,34 +100,30 @@ class Env:
         return gr
 
     def _get(self, key, fn):
-        return _memoized(self._memo, key, fn)
-
-    def _shared(self, key, fn):
-        """``fn()``, through the sweep's memo when the Env belongs to one."""
-        if self._sweep is None:
-            return fn()
-        return _memoized(self._sweep, key, fn)
+        if key not in self._memo:
+            self._memo[key] = fn()
+        return self._memo[key]
 
     def _factor(self, name: str, x: str, solve):
-        gr = self.graph(x)
-        return self._get((name, x), lambda: self._shared((name, gr), lambda: solve(gr)))
+        def shared():
+            gr = self.graph(x)
+            return _memoized(self._sweep, (name, gr), lambda: solve(gr))
+
+        return self._get((name, x), shared)
 
     def _product(self, name: str, kind: str, solver):
         return self._get((name, kind), lambda: self._pair_outcome(name, kind, solver))
 
     def _pair_outcome(self, name: str, kind: str, solver):
-        """``solver``'s value on G x H, shared with H x G through the sweep's memo.
+        """``solver``'s value on G x H, shared with H x G through the solve memo.
 
-        G x H and H x G are isomorphic, so the sweep keeps one outcome per
+        G x H and H x G are isomorphic, so the memo keeps one outcome per
         unordered pair: G x H's value; else, when G x H runs out and H != G,
         H x G's; else G x H's failure. G is the pair's first orientation in
         report order, and ``run_suite`` keeps both orientations in one task,
-        so the outcome does not depend on ``jobs``. Outside a sweep only G x H
-        is solved.
+        so the outcome does not depend on ``jobs``.
         """
         own = self.prod(kind)
-        if self._sweep is None:
-            return solver(own, self.budget).value
         g, h = self.g, self.h
 
         def either():
@@ -210,8 +212,10 @@ class Env:
     def gammar_k2(self) -> int:
         def solve() -> int:
             prod = self.prod_k2()
-            return self._shared(
-                ("gammar_k2", self.g), lambda: roman_domination_number(prod, self.budget).value
+            return _memoized(
+                self._sweep,
+                ("gammar_k2", self.g),
+                lambda: roman_domination_number(prod, self.budget).value,
             )
 
         return self._get(("gammar_k2",), solve)
@@ -222,8 +226,6 @@ class Env:
         if self.h is not None:
             out["h"] = write_graph6(self.h)
         for key, value in sorted(self._memo.items(), key=lambda kv: repr(kv[0])):
-            if isinstance(value, Exception):
-                continue
             name = "_".join(str(part) for part in key)
             if isinstance(value, Graph):
                 out[name] = write_graph6(value)
@@ -247,34 +249,28 @@ class TheoremSpec:
     secondary: Optional[Callable[[Env], tuple[bool, str]]] = None
 
 
-def _no_hyp(_env: Env) -> tuple[bool, str]:
-    return True, "no hypotheses"
+def _hyp(because: str, *requires) -> Callable[[Env], tuple[bool, str]]:
+    """A hypothesis test: ``requires`` are (test, reason when false) pairs,
+    tried in order; the first false test gives (False, its reason), and
+    (True, ``because``) when all pass."""
+
+    def check(env: Env) -> tuple[bool, str]:
+        for test, reason in requires:
+            if not test(env):
+                return False, reason
+        return True, because
+
+    return check
 
 
-def _hyp_in_f(env: Env) -> tuple[bool, str]:
-    if env.in_f("g"):
-        return True, "g has an efficient dominating set"
-    return False, "g has no efficient dominating set"
+_IN_F = (lambda e: e.in_f("g"), "g has no efficient dominating set")
+_H_ROMAN = (lambda e: e.roman("h"), "h is not Roman")
+_COMP_GT2 = (lambda e: e.comp_gt2("g"), "every component of g has order <= 2")
 
-
-def _hyp_h_roman(env: Env) -> tuple[bool, str]:
-    if env.roman("h"):
-        return True, "h is Roman"
-    return False, "h is not Roman"
-
-
-def _hyp_in_f_h_roman(env: Env) -> tuple[bool, str]:
-    if not env.in_f("g"):
-        return False, "g has no efficient dominating set"
-    if env.roman("h"):
-        return True, "g in F, h Roman"
-    return False, "h is not Roman"
-
-
-def _hyp_comp_gt2(env: Env) -> tuple[bool, str]:
-    if env.comp_gt2("g"):
-        return True, "g has a component of order > 2"
-    return False, "every component of g has order <= 2"
+_UNCONDITIONAL = _hyp("no hypotheses")
+_IF_IN_F = _hyp("g has an efficient dominating set", _IN_F)
+_IF_H_ROMAN = _hyp("h is Roman", _H_ROMAN)
+_IF_IN_F_H_ROMAN = _hyp("g in F, h Roman", _IN_F, _H_ROMAN)
 
 
 def _pncn_coefficient(n: int) -> int:
@@ -290,7 +286,7 @@ def _registry() -> list[TheoremSpec]:
             None,
             1,
             "gamma(G) <= gamma_R(G) <= 2*gamma(G)",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: ("<=", e.gammar("g"), 2 * e.gamma("g")),
             lambda e: (
                 e.gamma("g") <= e.gammar("g"),
@@ -302,7 +298,7 @@ def _registry() -> list[TheoremSpec]:
             None,
             1,
             "every optimal Roman function has |B2| <= gamma_R(G) - gamma(G)",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 "<=",
                 max(f.b2.bit_count() for f in e.optima("g")),
@@ -314,7 +310,7 @@ def _registry() -> list[TheoremSpec]:
             None,
             1,
             "every optimal Roman function has |B1| >= 2*gamma(G) - gamma_R(G)",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 ">=",
                 min(f.b1.bit_count() for f in e.optima("g")),
@@ -326,7 +322,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             1,
             "gamma_R(G x H) >= gamma(G)*gamma(H)",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (">=", e.gammar_prod(CARTESIAN), e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -334,7 +330,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "gamma_R(G x H) >= 2*gamma(G)*gamma_R(H)/3",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (">=", 6 * e.gammar_prod(CARTESIAN), 4 * e.gamma("g") * e.gammar("h")),
         ),
         TheoremSpec(
@@ -342,7 +338,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "gamma_R(G x H) >= (gamma(G)*gamma_R(H) + gamma(G x H))/2",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 ">=",
                 6 * e.gammar_prod(CARTESIAN),
@@ -354,7 +350,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "gamma_R(G x H) >= gamma_R(G)*gamma_R(H)/3",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (">=", 6 * e.gammar_prod(CARTESIAN), 2 * e.gammar("g") * e.gammar("h")),
         ),
         TheoremSpec(
@@ -362,7 +358,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "gamma(G x H) >= gamma(G)*gamma_R(H)/3",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (">=", 6 * e.gamma_prod(CARTESIAN), 2 * e.gamma("g") * e.gammar("h")),
         ),
         TheoremSpec(
@@ -370,7 +366,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "gamma(G x H) >= gamma(G)*gamma(H)/2",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (">=", 6 * e.gamma_prod(CARTESIAN), 3 * e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -378,10 +374,9 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "gamma_R(H) > 3*gamma(H)/2 implies gamma(G x H) >= gamma(G)*gamma(H)/2 + gamma(G)/3",
-            lambda e: (
-                (True, "gamma_R(h) > 3*gamma(h)/2")
-                if 2 * e.gammar("h") > 3 * e.gamma("h")
-                else (False, "gamma_R(h) <= 3*gamma(h)/2")
+            _hyp(
+                "gamma_R(h) > 3*gamma(h)/2",
+                (lambda e: 2 * e.gammar("h") > 3 * e.gamma("h"), "gamma_R(h) <= 3*gamma(h)/2"),
             ),
             lambda e: (
                 ">=",
@@ -394,7 +389,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "H Roman implies gamma_R(G x H) >= 4*gamma(G)*gamma(H)/3",
-            _hyp_h_roman,
+            _IF_H_ROMAN,
             lambda e: (">=", 6 * e.gammar_prod(CARTESIAN), 8 * e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -402,7 +397,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             6,
             "H Roman implies gamma(G x H) >= 2*gamma(G)*gamma(H)/3",
-            _hyp_h_roman,
+            _IF_H_ROMAN,
             lambda e: (">=", 6 * e.gamma_prod(CARTESIAN), 4 * e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -411,7 +406,7 @@ def _registry() -> list[TheoremSpec]:
             6,
             "g efficiently dominatable implies gamma_R(G x H) >= "
             "max(gamma(G)*(gamma_R(H)+gamma(H)), gamma(H)*(gamma_R(G)+gamma(G)))/2",
-            _hyp_in_f,
+            _IF_IN_F,
             lambda e: (
                 ">=",
                 6 * e.gammar_prod(CARTESIAN),
@@ -427,7 +422,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             1,
             "g efficiently dominatable implies gamma_R(G x H) >= gamma(G)*gamma_R(H)",
-            _hyp_in_f,
+            _IF_IN_F,
             lambda e: (">=", e.gammar_prod(CARTESIAN), e.gamma("g") * e.gammar("h")),
         ),
         TheoremSpec(
@@ -435,7 +430,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             1,
             "g efficiently dominatable and H Roman imply gamma_R(G x H) >= 2*gamma(G)*gamma(H)",
-            _hyp_in_f_h_roman,
+            _IF_IN_F_H_ROMAN,
             lambda e: (">=", e.gammar_prod(CARTESIAN), 2 * e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -443,7 +438,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             1,
             "gamma_R(G x H) <= min(n1*gamma_R(H), n2*gamma_R(G))",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 "<=",
                 e.gammar_prod(CARTESIAN),
@@ -455,7 +450,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             1,
             "gamma_R(G x H) <= 2*min(n1*gamma(H), n2*gamma(G))",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 "<=",
                 e.gammar_prod(CARTESIAN),
@@ -468,7 +463,7 @@ def _registry() -> list[TheoremSpec]:
             1,
             "g with a component of order > 2 implies "
             "gamma_R(G x H) <= (n1+1)*gamma_R(H) - 2*gamma(H)",
-            _hyp_comp_gt2,
+            _hyp("g has a component of order > 2", _COMP_GT2),
             lambda e: (
                 "<=",
                 e.gammar_prod(CARTESIAN),
@@ -481,7 +476,7 @@ def _registry() -> list[TheoremSpec]:
             1,
             "g Roman implies gamma_R(G x H) <= "
             "2*n1*(gamma_R(H)-gamma(H)) + 2*gamma(G)*(2*gamma(H)-gamma_R(H))",
-            lambda e: (True, "g is Roman") if e.roman("g") else (False, "g is not Roman"),
+            _hyp("g is Roman", (lambda e: e.roman("g"), "g is not Roman")),
             lambda e: (
                 "<=",
                 e.gammar_prod(CARTESIAN),
@@ -495,10 +490,8 @@ def _registry() -> list[TheoremSpec]:
             1,
             "g with a component of order > 2 and H not Roman imply "
             "gamma_R(G x H) <= n1*gamma_R(H) - 1",
-            lambda e: (
-                (False, "every component of g has order <= 2")
-                if not e.comp_gt2("g")
-                else (False, "h is Roman") if e.roman("h") else (True, "component > 2, h not Roman")
+            _hyp(
+                "component > 2, h not Roman", _COMP_GT2, (lambda e: not e.roman("h"), "h is Roman")
             ),
             lambda e: ("<=", e.gammar_prod(CARTESIAN), e.nn("g") * e.gammar("h") - 1),
         ),
@@ -508,10 +501,10 @@ def _registry() -> list[TheoremSpec]:
             1,
             "connected G of order >= 2: gamma_R(G) = gamma(G)+1 iff "
             "some vertex has degree n - gamma(G)",
-            lambda e: (
-                (False, "g is not connected")
-                if not e.connected("g")
-                else (False, "single vertex") if e.nn("g") < 2 else (True, "g connected, n >= 2")
+            _hyp(
+                "g connected, n >= 2",
+                (lambda e: e.connected("g"), "g is not connected"),
+                (lambda e: e.nn("g") >= 2, "single vertex"),
             ),
             lambda e: (
                 ("==", e.gammar("g"), e.gamma("g") + 1)
@@ -525,14 +518,11 @@ def _registry() -> list[TheoremSpec]:
             1,
             "g with a component of order > 2, h connected with a vertex of degree "
             "n2 - gamma(H): gamma_R(G x H) <= n1*(gamma(H)+1) - gamma(H) + 1",
-            lambda e: (
-                (False, "every component of g has order <= 2")
-                if not e.comp_gt2("g")
-                else (False, "h is not connected")
-                if not e.connected("h")
-                else (True, "component > 2; h has a degree n2-gamma(h) vertex")
-                if e.fulldeg("h")
-                else (False, "h has no vertex of degree n2 - gamma(h)")
+            _hyp(
+                "component > 2; h has a degree n2-gamma(h) vertex",
+                _COMP_GT2,
+                (lambda e: e.connected("h"), "h is not connected"),
+                (lambda e: e.fulldeg("h"), "h has no vertex of degree n2 - gamma(h)"),
             ),
             lambda e: (
                 "<=",
@@ -545,7 +535,7 @@ def _registry() -> list[TheoremSpec]:
             CARTESIAN,
             1,
             "gamma_R(G x H) <= 2*gamma(G)*gamma(H) + (n1-gamma(G))*(n2-gamma(H))",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 "<=",
                 e.gammar_prod(CARTESIAN),
@@ -558,7 +548,7 @@ def _registry() -> list[TheoremSpec]:
             None,
             1,
             "g efficiently dominatable: gamma(G)*(delta+1) <= n, with equality when regular",
-            _hyp_in_f,
+            _IF_IN_F,
             lambda e: (
                 "==" if e.regular("g") else "<=",
                 e.gamma("g") * (e.delta("g") + 1),
@@ -571,11 +561,7 @@ def _registry() -> list[TheoremSpec]:
             1,
             "delta-regular efficiently dominatable g: "
             "2*n/(delta+1) <= gamma_R(G x K2) <= 4*n/(delta+1)",
-            lambda e: (
-                (False, "g has no efficient dominating set")
-                if not e.in_f("g")
-                else (True, "g regular and in F") if e.regular("g") else (False, "g is not regular")
-            ),
+            _hyp("g regular and in F", _IN_F, (lambda e: e.regular("g"), "g is not regular")),
             lambda e: ("<=", e.gammar_k2() * (e.delta("g") + 1), 4 * e.nn("g")),
             lambda e: (
                 2 * e.nn("g") <= e.gammar_k2() * (e.delta("g") + 1),
@@ -588,7 +574,7 @@ def _registry() -> list[TheoremSpec]:
             STRONG,
             1,
             "max(P2(G)*gamma(H), gamma(G)*P2(H)) <= gamma(G strong H) <= gamma(G)*gamma(H)",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 "<=",
                 max(e.p2("g") * e.gamma("h"), e.gamma("g") * e.p2("h")),
@@ -605,7 +591,7 @@ def _registry() -> list[TheoremSpec]:
             STRONG,
             1,
             "g efficiently dominatable implies gamma(G strong H) = gamma(G)*gamma(H)",
-            _hyp_in_f,
+            _IF_IN_F,
             lambda e: ("==", e.gamma_prod(STRONG), e.gamma("g") * e.gamma("h")),
         ),
         TheoremSpec(
@@ -613,7 +599,7 @@ def _registry() -> list[TheoremSpec]:
             STRONG,
             1,
             "max(P2(G)*gamma(H), gamma(G)*P2(H)) <= gamma_R(G strong H) <= 2*gamma(G)*gamma(H)",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: ("<=", e.gammar_prod(STRONG), 2 * e.gamma("g") * e.gamma("h")),
             lambda e: (
                 max(e.p2("g") * e.gamma("h"), e.gamma("g") * e.p2("h")) <= e.gammar_prod(STRONG),
@@ -627,7 +613,7 @@ def _registry() -> list[TheoremSpec]:
             1,
             "gamma_R(G strong H) <= gamma_R(G)*gamma_R(H) - 2*|A2|*|B2| "
             "for optimal factor functions; checked with |A2|*|B2| maximized",
-            _no_hyp,
+            _UNCONDITIONAL,
             lambda e: (
                 "<=",
                 e.gammar_prod(STRONG),
@@ -640,10 +626,12 @@ def _registry() -> list[TheoremSpec]:
             STRONG,
             1,
             "G and H with an edge each imply gamma_R(G strong H) <= gamma_R(G)*gamma_R(H) - 2",
-            lambda e: (
-                (True, "both factors have an edge")
-                if e.edge_count("g") >= 1 and e.edge_count("h") >= 1
-                else (False, "a factor has no edges")
+            _hyp(
+                "both factors have an edge",
+                (
+                    lambda e: e.edge_count("g") >= 1 and e.edge_count("h") >= 1,
+                    "a factor has no edges",
+                ),
             ),
             lambda e: ("<=", e.gammar_prod(STRONG), e.gammar("g") * e.gammar("h") - 2),
         ),
@@ -654,12 +642,13 @@ def _registry() -> list[TheoremSpec]:
             "G with an edge, H a path or cycle of order n: gamma_R(G strong H) <= "
             "c(n)*gamma_R(G) - 2*floor(n/3) with c(n) = (2n+1)/3 when n = 1 mod 3, "
             "else 2*ceil(n/3)",
-            lambda e: (
-                (False, "g has no edges")
-                if e.edge_count("g") < 1
-                else (True, "g has an edge; h is a path or cycle")
-                if is_path_graph(e.graph("h")) or is_cycle_graph(e.graph("h"))
-                else (False, "h is neither a path nor a cycle")
+            _hyp(
+                "g has an edge; h is a path or cycle",
+                (lambda e: e.edge_count("g") >= 1, "g has no edges"),
+                (
+                    lambda e: is_path_graph(e.graph("h")) or is_cycle_graph(e.graph("h")),
+                    "h is neither a path nor a cycle",
+                ),
             ),
             lambda e: (
                 "<=",
@@ -672,7 +661,7 @@ def _registry() -> list[TheoremSpec]:
             STRONG,
             1,
             "g efficiently dominatable implies gamma_R(G strong H) >= gamma(G)*gamma_R(H)",
-            _hyp_in_f,
+            _IF_IN_F,
             lambda e: (">=", e.gammar_prod(STRONG), e.gamma("g") * e.gammar("h")),
         ),
         TheoremSpec(
@@ -680,7 +669,7 @@ def _registry() -> list[TheoremSpec]:
             STRONG,
             1,
             "g efficiently dominatable and H Roman imply G strong H is Roman",
-            _hyp_in_f_h_roman,
+            _IF_IN_F_H_ROMAN,
             lambda e: ("==", e.gammar_prod(STRONG), 2 * e.gamma_prod(STRONG)),
         ),
     ]
@@ -690,7 +679,6 @@ def _registry() -> list[TheoremSpec]:
 _SPECS = _registry()
 THEOREMS: dict[str, TheoremSpec] = {s.tid: s for s in _SPECS}
 THEOREM_ORDER: tuple[str, ...] = tuple(s.tid for s in _SPECS)
-THEOREM_STATEMENTS: dict[str, str] = {s.tid: s.statement for s in _SPECS}
 
 
 def resolve_theorem_ids(tokens: list[str]) -> list[str]:
@@ -732,28 +720,16 @@ class BoundRecord:
     witnesses: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "kind": self.kind,
-            "g": self.g,
-            "h": self.h,
-            "status": self.status,
-            "hypotheses_met": self.hypotheses_met,
-            "reason": self.reason,
-        }
-        if self.status == "checked":
-            out.update(
-                scale=self.scale,
-                lhs=self.lhs,
-                rhs=self.rhs,
-                relation=self.relation,
-                holds=self.holds,
-                tight=self.tight,
-                note=self.note,
-            )
-            if self.witnesses is not None:
-                out["witnesses"] = self.witnesses
+        """The record as a report dict: a skipped record stops at ``reason``."""
+        columns = _CSV_COLUMNS if self.status == "checked" else _CSV_COLUMNS[:7]
+        out = {col: getattr(self, col) for col in columns}
+        if self.witnesses is not None:
+            out["witnesses"] = self.witnesses
         return out
+
+
+# every record field but the witnesses, in field order
+_CSV_COLUMNS = tuple(f.name for f in fields(BoundRecord) if f.name != "witnesses")
 
 
 _REL = {
@@ -772,24 +748,18 @@ def _evaluate_env(tid: str, env: Env) -> BoundRecord:
     def skipped(status: str, met: Optional[bool], reason: str) -> BoundRecord:
         return BoundRecord(tid, kind, gname, hname, status, met, reason)
 
+    met = None
     try:
         met, reason = spec.hypothesis(env)
-    except BudgetExceeded as exc:
-        return skipped("budget-skipped", None, f"hypothesis check: {exc}")
-    except CapacityError as exc:
-        return skipped("budget-skipped", None, f"capacity: {exc}")
-    if not met:
-        return skipped("hypothesis-skipped", False, reason)
-    try:
+        if not met:
+            return skipped("hypothesis-skipped", False, reason)
         relation, lhs, rhs = spec.sides(env)
-        if spec.secondary is not None:
-            sec_ok, note = spec.secondary(env)
-        else:
-            sec_ok, note = True, None
+        sec_ok, note = spec.secondary(env) if spec.secondary is not None else (True, None)
     except BudgetExceeded as exc:
-        return skipped("budget-skipped", True, f"{reason}; {exc}")
+        where = f"{reason};" if met else "hypothesis check:"
+        return skipped("budget-skipped", met, f"{where} {exc}")
     except CapacityError as exc:
-        return skipped("budget-skipped", True, f"capacity: {exc}")
+        return skipped("budget-skipped", met, f"capacity: {exc}")
     holds = _REL[relation](lhs, rhs) and sec_ok
     witnesses = None if holds else env.witness_payload()
     return BoundRecord(
@@ -820,7 +790,9 @@ def evaluate(
     """Check one registered bound on one instance.
 
     Unary checks take only ``g``; product checks take the ordered pair
-    (g, h), with g in the role the statement's hypotheses constrain.
+    (g, h), with g in the role the statement's hypotheses constrain. It is
+    a one-item sweep: a product invariant that runs out of budget on G x H
+    is taken from H x G, as in ``run_suite``.
     """
     ids = resolve_theorem_ids([theorem])
     spec = THEOREMS[ids[0]]
@@ -968,24 +940,6 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-_CSV_COLUMNS = (
-    "theorem",
-    "kind",
-    "g",
-    "h",
-    "status",
-    "hypotheses_met",
-    "reason",
-    "scale",
-    "lhs",
-    "rhs",
-    "relation",
-    "holds",
-    "tight",
-    "note",
-)
-
-
 def report_to_csv(report: dict) -> str:
     """One row per record, witnesses omitted."""
     buf = io.StringIO()
@@ -1013,19 +967,7 @@ class PremiseReport:
     inequality_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "floor_n3": self.floor_n3,
-            "b2_sizes": list(self.b2_sizes),
-            "premise_holds": self.premise_holds,
-            "violating_labels": (
-                None if self.violating_labels is None else list(self.violating_labels)
-            ),
-            "inequality_weight": self.inequality_weight,
-            "inequality_rhs": self.inequality_rhs,
-            "inequality_holds": self.inequality_holds,
-        }
+        return asdict(self)
 
 
 def check_pncn_premise(n: int, kind: str) -> PremiseReport:

@@ -68,13 +68,7 @@ def _pick(
         options = enumerate_optimal_rdfs(g, budget=budget)
     except CapacityError:
         return roman_domination_number(g, budget).witness, "solver-witness"
-    best = options[0]
-    best_score = score(best)
-    for f in options[1:]:
-        s = score(f)
-        if s > best_score:
-            best, best_score = f, s
-    return best, "enumerated"
+    return max(options, key=score), "enumerated"
 
 
 def replicate_construction(g: Graph, h: Graph, budget: Optional[int] = None) -> ConstructionOutcome:

@@ -73,9 +73,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
@@ -89,12 +86,6 @@ class Graph:
             for u in bits(t):
                 out.append((v, u))
         return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def closed(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
 
     def closed_adj(self) -> list[int]:
         return [row | (1 << v) for v, row in enumerate(self.adj)]

@@ -218,7 +218,8 @@ def enumerate_optimal_rdfs(g: Graph, budget: Optional[int] = None) -> list[Roman
 
     Optimal functions correspond one-to-one with sets S whose completion cost
     2|S| + n - |N[S]| equals gamma_R, with the ones forced onto V minus N[S];
-    so it suffices to scan subsets of size at most gamma_R / 2.
+    so it suffices to scan subsets of size at most gamma_R / 2. ``budget``
+    caps the gamma_R solve and, separately, the subsets scanned.
     """
     if g.n > DEFAULT_ENUM_GUARD:
         raise CapacityError(
@@ -230,8 +231,12 @@ def enumerate_optimal_rdfs(g: Graph, budget: Optional[int] = None) -> list[Roman
     target = roman_domination_number(g, budget).value
     kmax = target // 2
     found: list[int] = []
+    ctr = _Counter(budget)
 
     def rec(start: int, smask: int, covered: int, size: int) -> None:
+        ctr.nodes += 1
+        if ctr.limit is not None and ctr.nodes > ctr.limit:
+            raise BudgetExceeded(ctr.nodes)
         if 2 * size + n - covered.bit_count() == target:
             found.append(smask)
         if size == kmax:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romdom import (
+    BudgetExceeded,
     CapacityError,
     complete,
     cycle,
@@ -80,3 +81,12 @@ def test_enumeration_guard(monkeypatch):
     assert enumerate_optimal_rdfs(path(5))
     with pytest.raises(CapacityError):
         enumerate_optimal_rdfs(path(6))
+
+
+def test_enumeration_counts_subsets_against_the_budget():
+    # gamma_R(20K1) = 20 takes one node, but the scan then visits every
+    # subset of at most 10 vertices: 616,666 of them
+    g = from_edges(20, [])
+    with pytest.raises(BudgetExceeded):
+        enumerate_optimal_rdfs(g, budget=1000)
+    assert [f.labels for f in enumerate_optimal_rdfs(g)] == [(1,) * 20]

@@ -64,7 +64,7 @@ def test_gamma_matches_oracle(g):
     # the witness must itself dominate and have the optimal size
     covered = 0
     for v in bits(res.witness):
-        covered |= g.closed(v)
+        covered |= g.closed_adj()[v]
     assert covered == g.full_mask
     assert res.witness.bit_count() == res.value
 

@@ -29,6 +29,20 @@ the rest costs at least ceil(pick * m / c), capped at miss * m. The
 incumbent starts at miss * n, the S = empty completion, for gamma_R, and at
 n + 1 for gamma.
 
+Packing bound. Any set T of unresolved vertices such that every allowed
+vertex dominates at most pick of them is an integral point of the dual of
+the covering LP, and the rest costs at least |T|. For gamma (capacity 1)
+the members of T need distinct members of S. For gamma_R (capacity 2) a
+member of S costs 2 and dominates at most two members of T, and a member
+of T outside N[S] pays its miss of 1, so each costs at least 1 again. T
+is built greedily in index order, with one mask of the allowed vertices
+that dominate at least one member of T and one of those that dominate two;
+a vertex joins T unless one of its allowed dominators is saturated (the
+first mask for gamma, the second for gamma_R). The node dies as soon as
+|T| reaches best - cost. This walk is bit operations only and runs before
+the coverage bound, which scans every allowed vertex and is consulted only
+when the walk does not prune; both prune only on >= best.
+
 All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
 search size; running out raises BudgetExceeded rather than returning a guess.
@@ -162,6 +176,22 @@ def _cover_search(
             best = cost
             best_pair = (smask, ones)
             return
+        # packing bound (module docstring): the walk counts T down from
+        # best - cost; one and two mark the allowed vertices that dominate
+        # at least one and two members of T
+        need = best - cost
+        one = two = 0
+        t = undom
+        while t:
+            lsb = t & -t
+            t ^= lsb
+            d = adjc[lsb.bit_length() - 1] & allowed
+            if not d & (one if pick == 1 else two):
+                need -= 1
+                if not need:
+                    return
+                two |= one & d
+                one |= d
         m = undom.bit_count()
         maxc = 0
         t = allowed

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to pin solver results.
 
-Everything here works from (n, edge list) with plain sets and itertools,
-deliberately sharing no code or representation with the package's bitmask
-solvers. Exponential in n; callers keep instances small.
+Everything here works from (n, edge list) and imports nothing from the
+package. Most oracles use plain sets and itertools, deliberately sharing no
+representation with the package's bitmask solvers; ``brute_covers``, the one
+search sized for 64 vertices, keeps its sets as ints built from the edge list
+itself. Exponential in n; callers keep instances small.
 """
 
 from __future__ import annotations
@@ -63,6 +65,43 @@ def brute_gamma_r_subsets(n: int, edges) -> int:
                 covered |= closed[v]
             best = min(best, 2 * size + n - len(covered))
     return best
+
+
+def brute_covers(n: int, edges, k: int, target: int, root: int = 0) -> bool:
+    """Whether some S with root in S and |S| <= k has |N[S]| >= target.
+
+    Max-coverage search: the lowest vertex still outside N[S] is either
+    dominated by some member of its closed neighborhood joining S (refused
+    to the later siblings) or left out, which spends one of the n - target
+    vertices allowed outside. A node dies once the uncovered vertices exceed
+    that allowance plus the largest closed neighborhood times the picks left.
+    """
+    closed = [1 << v for v in range(n)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    top = max(c.bit_count() for c in closed)
+    full = (1 << n) - 1
+
+    def search(covered: int, refused: int, picks: int, slack: int) -> bool:
+        uncovered = full & ~covered
+        count = uncovered.bit_count()
+        if count <= slack:
+            return True
+        if count > slack + top * picks:
+            return False
+        v = (uncovered & -uncovered).bit_length() - 1
+        options = closed[v] & ~refused
+        while options:
+            w = options & -options
+            options ^= w
+            if search(covered | closed[w.bit_length() - 1], refused, picks - 1, slack):
+                return True
+            refused |= w
+        # v stays outside N[S]: no member of its closed neighborhood joins S
+        return slack > 0 and search(covered | 1 << v, refused, picks, slack - 1)
+
+    return search(closed[root], 1 << root, k - 1, n - target)
 
 
 def brute_optimal_rdfs(n: int, edges) -> list[tuple[int, ...]]:

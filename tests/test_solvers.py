@@ -7,6 +7,8 @@ bug, not a test artifact.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,7 @@ from romdom import (
 from bruteforce import (
     all_labeled_graphs,
     brute_codes,
+    brute_covers,
     brute_gamma,
     brute_gamma_r,
     brute_gamma_r_subsets,
@@ -142,6 +145,47 @@ def test_gamma_and_gamma_r_on_every_small_labeled_graph():
         assert gamma_r == brute_gamma_r(n, edges) == brute_gamma_r_subsets(n, edges), edges
 
 
+def test_gamma_and_gamma_r_where_the_packing_bound_prunes():
+    # 120 seeded G(n, m) graphs, n in 12..16 with n to 5n/2 edges; the
+    # packing bound prunes in their searches, where on graphs of at most 5
+    # vertices it never does
+    graphs = []
+    for n in (12, 14, 16):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        for m in (n, 3 * n // 2, 2 * n, 5 * n // 2):
+            for seed in range(10):
+                graphs.append((n, random.Random(f"packing:{n}:{m}:{seed}").sample(pairs, m)))
+    for n, edges in graphs:
+        g = from_edges(n, edges)
+        res = domination_number(g)
+        closed = [{v} for v in range(n)]
+        for u, v in edges:
+            closed[u].add(v)
+            closed[v].add(u)
+        assert res.value == brute_gamma(n, edges)[0] == res.witness.bit_count(), edges
+        assert set().union(*(closed[v] for v in bits(res.witness))) == set(range(n)), edges
+        res_r = roman_domination_number(g)
+        assert res_r.value == brute_gamma_r_subsets(n, edges) == res_r.witness.weight, edges
+        assert validate_rdf(g, res_r.witness), edges
+
+
+def test_gamma_r_of_q6_is_24():
+    # Second route: by vertex-transitivity some S with 2|S| + 64 - |N[S]| <= 23
+    # would contain vertex 0. |N[S]| <= 7|S| rules out |S| <= 8, |S| >= 12
+    # already costs 24, and brute_covers rules out 9 <= |S| <= 11.
+    n = 64
+    edges = [(u, u | 1 << i) for u in range(n) for i in range(6) if not u >> i & 1]
+    g = hypercube(6)
+    assert sorted(g.edges()) == sorted(edges)
+    for k in (9, 10, 11):
+        assert not brute_covers(n, edges, k, 41 + 2 * k), k
+    res = roman_domination_number(g, budget=2_000_000)
+    labels = res.witness.labels
+    assert res.value == sum(labels) == 24
+    for v in range(n):
+        assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
+
+
 def test_efficient_dominating_sets_have_size_gamma():
     for n, edges in all_labeled_graphs(5):
         g = from_edges(n, edges)
@@ -208,15 +252,16 @@ def test_node_counts_are_reported():
 
 
 # Values and witnesses from before the root symmetry cut, and the exact node
-# counts the covering search takes with it, so that any change to its
-# branching, bound or cut shows up here. P4xC5 is not transitive: no cut.
+# counts the covering search takes with it and the packing bound, so that any
+# change to its branching, bounds or cut shows up here. P4xC5 is not
+# transitive: no cut.
 ROOT_CUT_CASES = [
-    (cycle(6), cycle(7), True, 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 4242,
-     20, "220200000000200020000200020200200000000020", 32408),
-    (hypercube(3), cycle(5), True, 8, [0, 2, 5, 18, 28, 31, 34, 36], 1701,
-     16, "2020020000000000002000000000200200202000", 6536),
-    (path(4), cycle(5), False, 6, [0, 1, 2, 13, 14, 16], 259,
-     10, "20010002000000202010", 362),
+    (cycle(6), cycle(7), True, 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 2222,
+     20, "220200000000200020000200020200200000000020", 5484),
+    (hypercube(3), cycle(5), True, 8, [0, 2, 5, 18, 28, 31, 34, 36], 1475,
+     16, "2020020000000000002000000000200200202000", 1774),
+    (path(4), cycle(5), False, 6, [0, 1, 2, 13, 14, 16], 203,
+     10, "20010002000000202010", 212),
 ]
 
 
@@ -238,9 +283,10 @@ def test_root_cut_keeps_values_and_witnesses(
 
 
 def test_root_cut_on_k4_c11():
-    # 379,267 nodes without the cut
+    # 379,267 nodes with neither the cut nor the packing bound, 96,004 with
+    # the cut alone
     res = domination_number(product(complete(4), cycle(11), CARTESIAN))
-    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 96004)
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 76815)
 
 
 def test_root_cut_needs_transitivity():

@@ -45,8 +45,10 @@ from .graphs import (
     product,
 )
 from .solvers import (
+    _efficient_sets,
     domination_number,
-    efficient_dominating_sets,
+    # not called here: perfbench/probe.py wraps the solver names bounds imports
+    efficient_dominating_sets,  # noqa: F401
     enumerate_optimal_rdfs,
     is_roman_values,
     roman_domination_number,
@@ -58,20 +60,24 @@ from .solvers import (
 # per-instance lazy invariant cache
 
 
-def _memoized(memo: dict, key, fn):
-    """``fn()`` memoized in ``memo`` under ``key``, a BudgetExceeded or
-    CapacityError included: a stored exception is raised again on lookup."""
-    if key in memo:
-        value = memo[key]
-        if isinstance(value, Exception):
-            # a fresh traceback on every raise, so a stored exception does not
-            # collect (and keep alive) the frames of each lookup
-            raise value.with_traceback(None)
-        return value
+def _memoized(memo: dict, key, fn, failure_key=None):
+    """``fn()`` memoized in ``memo`` under ``key``; a BudgetExceeded or
+    CapacityError is memoized under ``failure_key`` (``key`` by default) and
+    raised again on lookup. A value under ``key`` is found before a failure
+    under ``failure_key``."""
+    failure_key = key if failure_key is None else failure_key
+    for k in (key, failure_key):
+        if k in memo:
+            value = memo[k]
+            if isinstance(value, Exception):
+                # a fresh traceback on every raise, so a stored exception does
+                # not collect (and keep alive) the frames of each lookup
+                raise value.with_traceback(None)
+            return value
     try:
         value = fn()
     except (BudgetExceeded, CapacityError) as exc:
-        memo[key] = exc
+        memo[failure_key] = exc
         raise
     memo[key] = value
     return value
@@ -84,6 +90,17 @@ class Env:
     or the one its sweep task shares (``run_suite`` attaches it). The Env's
     own ``_memo`` keeps the values it has read, keyed by role, for
     ``witness_payload``; failures are kept only in the solve memo.
+
+    Every invariant the checks read is an isomorphism invariant of G, of H
+    or of the unordered pair, so the solve memo shares values across
+    isomorphism classes (``Graph.canonical_form``). A factor invariant is
+    solved on the class's canonical graph, so its outcome is the same for
+    every labeling and every task; only when that runs out is the labeled
+    graph solved too, its failure kept under its labeled adjacency. A
+    product invariant keeps its value under the class pair and a failure
+    under the labeled pair, so a labeling that runs out does not stop a
+    later one from trying. The one labeled object a check reads, the
+    gamma_R witness behind ``max_b2``'s fallback, is keyed by labeled graph.
     """
 
     def __init__(self, g: Graph, h: Optional[Graph] = None, budget: Optional[int] = None):
@@ -92,6 +109,7 @@ class Env:
         self.budget = budget
         self._memo: dict = {}
         self._sweep: dict = {}
+        self._kinds: set = set()  # product kinds an invariant was read on
 
     def graph(self, x: str) -> Graph:
         gr = self.g if x == "g" else self.h
@@ -107,6 +125,12 @@ class Env:
     def _factor(self, name: str, x: str, solve):
         def shared():
             gr = self.graph(x)
+            form = gr.canonical_form
+            try:
+                return _memoized(self._sweep, (name, form), lambda: solve(Graph(gr.n, form)))
+            except (BudgetExceeded, CapacityError):
+                if form == gr.adj:
+                    raise
             return _memoized(self._sweep, (name, gr), lambda: solve(gr))
 
         return self._get((name, x), shared)
@@ -115,27 +139,33 @@ class Env:
         return self._get((name, kind), lambda: self._pair_outcome(name, kind, solver))
 
     def _pair_outcome(self, name: str, kind: str, solver):
-        """``solver``'s value on G x H, shared with H x G through the solve memo.
+        """``solver``'s value on G x H, shared with every pair of the same
+        two isomorphism classes through the solve memo.
 
-        G x H and H x G are isomorphic, so the memo keeps one outcome per
-        unordered pair: G x H's value; else, when G x H runs out and H != G,
-        H x G's; else G x H's failure. G is the pair's first orientation in
-        report order, and ``run_suite`` keeps both orientations in one task,
-        so the outcome does not depend on ``jobs``.
+        G x H and H x G are isomorphic, so the memo keeps one value per
+        unordered class pair: G x H's; else, when G x H runs out and H != G,
+        H x G's. A failure is kept under the labeled pair {G, H}. G is the
+        pair's first orientation in report order, and ``run_suite`` keeps
+        every labeled pair of a class pair in one task, in report order, so
+        the outcome does not depend on ``jobs``. The product graph is built
+        only for a solve; ``witness_payload`` builds it for the report.
         """
-        own = self.prod(kind)
         g, h = self.g, self.h
+        self._kinds.add(kind)
 
         def either():
             try:
-                return solver(own, self.budget).value
+                return solver(self.prod(kind), self.budget).value
             except (BudgetExceeded, CapacityError):
                 if h != g:
                     with suppress(BudgetExceeded, CapacityError):
                         return solver(product(h, g, kind), self.budget).value
                 raise
 
-        return _memoized(self._sweep, (name, kind, frozenset((g, h))), either)
+        classes = frozenset((g.canonical_form, h.canonical_form))
+        return _memoized(
+            self._sweep, (name, kind, classes), either, (name, kind, frozenset((g, h)))
+        )
 
     # -- factor invariants
 
@@ -155,7 +185,9 @@ class Env:
         return self._factor("p2", x, lambda gr: two_packing_number(gr, self.budget).value)
 
     def in_f(self, x: str) -> bool:
-        return self._factor("in_f", x, lambda gr: bool(efficient_dominating_sets(gr, self.budget)))
+        return self._factor(
+            "in_f", x, lambda gr: next(_efficient_sets(gr, self.budget), None) is not None
+        )
 
     def roman(self, x: str) -> bool:
         return is_roman_values(self.gamma(x), self.gammar(x))
@@ -185,8 +217,14 @@ class Env:
         try:
             return max(f.b2.bit_count() for f in self.optima(x)), "enumerated"
         except CapacityError:
-            fn = self._factor(
-                "gammar_fn", x, lambda gr: roman_domination_number(gr, self.budget).witness
+            gr = self.graph(x)
+            fn = self._get(
+                ("gammar_fn", x),
+                lambda: _memoized(
+                    self._sweep,
+                    ("gammar_fn", gr),
+                    lambda: roman_domination_number(gr, self.budget).witness,
+                ),
             )
             return fn.b2.bit_count(), "solver-witness"
 
@@ -214,8 +252,9 @@ class Env:
             prod = self.prod_k2()
             return _memoized(
                 self._sweep,
-                ("gammar_k2", self.g),
+                ("gammar_k2", self.g.canonical_form),
                 lambda: roman_domination_number(prod, self.budget).value,
+                ("gammar_k2", self.g),
             )
 
         return self._get(("gammar_k2",), solve)
@@ -225,6 +264,9 @@ class Env:
         out: dict = {"g": write_graph6(self.g)}
         if self.h is not None:
             out["h"] = write_graph6(self.h)
+        for kind in self._kinds:
+            with suppress(CapacityError):
+                self.prod(kind)
         for key, value in sorted(self._memo.items(), key=lambda kv: repr(kv[0])):
             name = "_".join(str(part) for part in key)
             if isinstance(value, Graph):
@@ -880,16 +922,17 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
     order and registry order. The report never contains timestamps, and its
     bytes do not depend on ``jobs``.
 
-    A task is the unary items of one graph, or the items of one kind on one
-    unordered pair {G, H} (graphs compare by order and adjacency). A serial
-    sweep runs all tasks through one solve memo, ``jobs > 1`` each task
-    through its own in a process pool; either way each pair is solved once
-    per kind (see ``Env._product``).
+    A task is the unary items of one isomorphism class, or the items of one
+    kind on one unordered pair of classes, in report order. A serial sweep
+    runs all tasks through one solve memo, ``jobs > 1`` each task through
+    its own in a process pool; either way each class is solved once per
+    factor invariant and each class pair once per kind, while it succeeds
+    (see ``Env``).
     """
     unary_ids = [t for t in spec.theorems if THEOREMS[t].kind is None]
     keyed = []  # (task key, item) in report order
     if unary_ids:
-        keyed += [(g, (g, None, unary_ids, spec.budget)) for g in spec.graphs]
+        keyed += [(g.canonical_form, (g, None, unary_ids, spec.budget)) for g in spec.graphs]
     for kind in (CARTESIAN, STRONG):
         if kind not in spec.products:
             continue
@@ -900,7 +943,8 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
             for h in spec.graphs:
                 if spec.max_product is not None and g.n * h.n > spec.max_product:
                     continue
-                keyed.append(((kind, frozenset((g, h))), (g, h, ids, spec.budget)))
+                classes = frozenset((g.canonical_form, h.canonical_form))
+                keyed.append(((kind, classes), (g, h, ids, spec.budget)))
     tasks: dict = {}  # task key -> its items, in report order
     for key, item in keyed:
         tasks.setdefault(key, []).append(item)

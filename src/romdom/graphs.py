@@ -1,4 +1,5 @@
-"""Bitset graphs: construction, products, distance-two squares, components.
+"""Bitset graphs: construction, products, distance-two squares, components,
+canonical forms and automorphisms.
 
 Vertices are 0..n-1. Vertex sets are Python ints used as bit masks, and
 ``adj[v]`` is the open-neighborhood mask of v. Graph products number their
@@ -91,38 +92,28 @@ class Graph:
         return [row | (1 << v) for v, row in enumerate(self.adj)]
 
     @cached_property
+    def _symmetry(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        return _individualize_refine(self.adj)
+
+    @property
+    def canonical_form(self) -> tuple[int, ...]:
+        """Adjacency masks of the canonical relabeling: two graphs get the
+        same tuple exactly when they are isomorphic (see ``_individualize_refine``)."""
+        return self._symmetry[0]
+
+    @cached_property
     def vertex_transitive(self) -> bool:
         """Whether automorphisms carry vertex 0 onto every vertex.
 
         Computed once per graph object. Vertices that differ in degree,
         triangle count or number of vertices at distance two settle it at
-        once; otherwise each vertex w outside the orbit of 0 under the
-        automorphisms found so far needs an automorphism mapping 0 to w,
-        looked for by a paired individualization-refinement search (McKay
-        and Piperno, Practical graph isomorphism II, 2014) and checked on
-        every edge before it is trusted. The vertices w are tried from n - 1
-        down: on a graph whose refined partition of the other vertices is one
-        cell (K_n, the empty graph), the first guess for w = n - 1 is then
-        the n-cycle, which closes the orbit at once, where w = 1 would find a
-        transposition and grow the orbit by one vertex per search.
+        once; otherwise it holds when the orbit of 0 under the automorphism
+        generators of the canonical-form search is all of V, since those
+        generate the whole automorphism group.
         """
         if len({_local_invariant(self.adj, v) for v in range(self.n)}) > 1:
             return False
-        nbrs = [list(bits(row)) for row in self.adj]
-        found: list[list[int]] = []
-        orbit = 1
-        for w in range(self.n - 1, 0, -1):
-            if orbit >> w & 1:
-                continue
-            a = [0] * self.n
-            b = [0] * self.n
-            a[0] = b[w] = 1
-            sigma = _automorphism(self.adj, nbrs, a, b)
-            if sigma is None:
-                return False
-            found.append(sigma)
-            orbit = _orbit(found, orbit)
-        return True
+        return _orbit(self._symmetry[1], 1) == self.full_mask
 
     def name(self) -> str:
         """Printable descriptor: the label if set, else a graph6 string."""
@@ -144,70 +135,187 @@ def _local_invariant(adj: tuple[int, ...], v: int) -> tuple[int, int, int]:
     return row.bit_count(), wedges, (reach & ~row & ~(1 << v)).bit_count()
 
 
-def _refine_pair(
-    nbrs: list[list[int]], a: list[int], b: list[int]
-) -> Optional[tuple[list[int], list[int]]]:
-    """Refine two colorings of one graph in step, to their equitable partitions.
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """The coarsest equitable refinement of the ordered partition ``cells``.
 
-    A vertex's next color names its color together with the multiset of its
-    neighbors' colors; names come from the signatures in sorted order, so they
-    are shared by both sides and any automorphism carrying a onto b also
-    carries the refined a onto the refined b. Returns None as soon as the two
-    sides' signature multisets differ, which rules such an automorphism out.
+    ``cells`` are vertex masks in order. Each splitter mask S splits every
+    cell by the number of neighbors its vertices have in S, the pieces kept in
+    place in ascending count order; all pieces but the first largest become
+    splitters in turn (their counts fix the largest one's). ``splitters``
+    must be enough to make the partition equitable: all of V at the root,
+    or the new singleton after individualizing a vertex of an equitable
+    partition. Every step reads counts and order only, never a vertex
+    index, so relabeling the graph relabels the result the same way.
     """
-    k = len(set(a))
-    while True:
-        sa = [(a[v], tuple(sorted([a[u] for u in nb]))) for v, nb in enumerate(nbrs)]
-        sb = [(b[v], tuple(sorted([b[u] for u in nb]))) for v, nb in enumerate(nbrs)]
-        if sorted(sa) != sorted(sb):
+    cells = list(cells)
+    queue = list(splitters)
+    n = len(adj)
+    for s in queue:
+        if len(cells) == n:
+            break
+        touched = 0
+        t = s
+        while t:
+            lsb = t & -t
+            t ^= lsb
+            touched |= adj[lsb.bit_length() - 1]
+        i = 0
+        while i < len(cells):
+            c = cells[i]
+            i += 1
+            if not (c & (c - 1) and c & touched):
+                continue
+            # only a touched vertex has a neighbor in s
+            groups: dict[int, int] = {0: c & ~touched} if c & ~touched else {}
+            t = c & touched
+            while t:
+                lsb = t & -t
+                t ^= lsb
+                k = (adj[lsb.bit_length() - 1] & s).bit_count()
+                groups[k] = groups.get(k, 0) | lsb
+            if len(groups) > 1:
+                pieces = [groups[k] for k in sorted(groups)]
+                cells[i - 1 : i] = pieces
+                i += len(pieces) - 1
+                big = max(pieces, key=int.bit_count)
+                queue += [p for p in pieces if p != big]
+    return cells
+
+
+def _individualize_refine(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Canonical adjacency and automorphism generators, from one search tree.
+
+    An individualization-refinement search (McKay and Piperno, Practical
+    graph isomorphism II, 2014). A node is an ordered partition made
+    equitable by ``_refine``. Its children individualize each vertex w of
+    its first non-singleton cell in turn: w becomes a singleton at the front
+    of that cell, and the result is refined again. A leaf is a discrete
+    partition; it relabels the graph by position, and the canonical form is
+    the largest relabeled adjacency over all leaves. Neither the cell choice
+    nor the refinement reads a vertex index, so the leaves of a relabeled
+    graph are the relabeled leaves, and the largest one is the same.
+
+    Pruning, each step skipping only a subtree that an automorphism maps
+    onto one already searched:
+
+    - A singleton keeps its position in every descendant. So when a leaf
+      relabels the graph as the first or the best leaf does, mapping that
+      leaf onto this one is an automorphism fixing their common prefix of
+      individualized vertices. It is kept as a generator, and the search
+      returns to the two leaves' common ancestor.
+    - A child whose vertex lies in the orbit of the searched children under
+      the generators that fix the node's prefix is skipped.
+    - A later child is refined first and paired with the first child, the
+      members of each cell in index order; when that pairing is an
+      automorphism it is kept as a generator and the child is skipped.
+    - A node whose non-singleton cells join each other and themselves
+      either completely or not at all (K_n, the empty graph) has one leaf
+      up to automorphism: any order within those cells is one. Its cells
+      are ordered by index, and on the first path a transposition and a
+      cycle per cell are kept as generators.
+
+    On the first path these rules leave, for each vertex the stabilizer of
+    a node's prefix can move into its first child's place, a generator
+    fixing the prefix that does so. The generators therefore generate the
+    whole automorphism group.
+    """
+    n = len(adj)
+    gens: list[list[int]] = []
+    leaves: list[tuple[tuple[int, ...], list[int], list[int]]] = []  # first, best
+
+    def at_leaf(order: list[int], prefix: list[int]) -> int:
+        """Compare the leaf with the first and best ones; the level to resume at."""
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        cert = []
+        for v in order:
+            m = 0
+            t = adj[v]
+            while t:
+                lsb = t & -t
+                t ^= lsb
+                m |= 1 << pos[lsb.bit_length() - 1]
+            cert.append(m)
+        cert = tuple(cert)
+        if not leaves:
+            leaves[:] = [(cert, order, prefix)] * 2
+            return len(prefix)
+        for known, known_order, known_prefix in leaves:
+            if cert == known:
+                sigma = [0] * n
+                for u, v in zip(known_order, order):
+                    sigma[u] = v
+                gens.append(sigma)
+                common = 0
+                while prefix[common] == known_prefix[common]:
+                    common += 1
+                return common
+        if cert > leaves[1][0]:
+            leaves[1] = (cert, order, prefix)
+        return len(prefix)
+
+    def visit(cells: list[int], prefix: list[int]) -> int:
+        if len(cells) == n:
+            return at_leaf([c.bit_length() - 1 for c in cells], prefix)
+        open_cells = [c for c in cells if c & (c - 1)]
+        if all(
+            not adj[v] & d or adj[v] & d == d & ~(1 << v)
+            for c in open_cells
+            for v in (c.bit_length() - 1,)
+            for d in open_cells
+        ):
+            for c in open_cells if not leaves else ():
+                members = list(bits(c))
+                swap, turn = list(range(n)), list(range(n))
+                swap[members[0]], swap[members[1]] = members[1], members[0]
+                for u, v in zip(members, members[1:] + members[:1]):
+                    turn[u] = v
+                gens.extend([swap, turn] if len(members) > 2 else [swap])
+            return at_leaf([v for c in cells for v in bits(c)], prefix)
+        i = next(j for j, c in enumerate(cells) if c & (c - 1))
+        cell = cells[i]
+        level = len(prefix)
+        first: list[int] = []  # the first child's partition
+        fixing: list[list[int]] = []  # the generators that fix the prefix
+        known = tried = 0  # gens read into fixing; orbit of the searched children
+        for w in bits(cell):
+            new = [p for p in gens[known:] if all(p[v] == v for v in prefix)]
+            known = len(gens)
+            if new:
+                fixing += new
+                tried = _orbit(fixing, tried)
+            if tried >> w & 1:
+                continue
+            child = _refine(adj, cells[:i] + [1 << w, cell ^ 1 << w] + cells[i + 1 :], [1 << w])
+            sigma = _paired(adj, first, child) if first else None
+            if sigma is not None:
+                gens.append(sigma)
+            else:
+                first = first or child
+                back = visit(child, prefix + [w])
+                if back < level:
+                    return back
+            tried = _orbit(fixing, tried | 1 << w)
+        return level
+
+    visit(_refine(adj, [(1 << n) - 1], [(1 << n) - 1]), [])
+    return leaves[1][0], gens
+
+
+def _paired(adj: tuple[int, ...], a: list[int], b: list[int]) -> Optional[list[int]]:
+    """The permutation pairing the members of each cell of ``a`` with those of
+    the same cell of ``b`` in index order, if it is an automorphism."""
+    if [c.bit_count() for c in a] != [c.bit_count() for c in b]:
+        return None
+    sigma = [0] * len(adj)
+    for ca, cb in zip(a, b):
+        for u, v in zip(bits(ca), bits(cb)):
+            sigma[u] = v
+    for v, row in enumerate(adj):
+        if mask_of(sigma[u] for u in bits(row)) != adj[sigma[v]]:
             return None
-        names = {sig: i for i, sig in enumerate(sorted(set(sa)))}
-        a = [names[sig] for sig in sa]
-        b = [names[sig] for sig in sb]
-        if len(names) == k:
-            return a, b
-        k = len(names)
-
-
-def _automorphism(
-    adj: tuple[int, ...], nbrs: list[list[int]], a: list[int], b: list[int]
-) -> Optional[list[int]]:
-    """An automorphism sigma with b[sigma(v)] == a[v] for all v, or None.
-
-    After refinement, the cheap guess that pairs the members of each color
-    class in index order is tried first; failing that, the lowest vertex of
-    the first non-singleton class is individualized on the left against each
-    vertex of that class on the right in turn. Every automorphism respecting
-    the colorings survives some branch, so None means there is none.
-    """
-    pair = _refine_pair(nbrs, a, b)
-    if pair is None:
-        return None
-    a, b = pair
-    n = len(a)
-    k = max(a) + 1
-    cells_a: list[list[int]] = [[] for _ in range(k)]
-    cells_b: list[list[int]] = [[] for _ in range(k)]
-    for v in range(n):
-        cells_a[a[v]].append(v)
-        cells_b[b[v]].append(v)
-    sigma = [0] * n
-    for ca, cb in zip(cells_a, cells_b):
-        for v, w in zip(ca, cb):
-            sigma[v] = w
-    if all(mask_of(sigma[u] for u in nbrs[v]) == adj[sigma[v]] for v in range(n)):
-        return sigma
-    if k == n:
-        return None
-    cell = next(c for c in range(k) if len(cells_a[c]) > 1)
-    a[cells_a[cell][0]] = k
-    for w in cells_b[cell]:
-        b2 = b.copy()
-        b2[w] = k
-        sigma = _automorphism(adj, nbrs, a, b2)
-        if sigma is not None:
-            return sigma
-    return None
+    return sigma
 
 
 def _orbit(perms: list[list[int]], orbit: int) -> int:

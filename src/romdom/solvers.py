@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .config import DEFAULT_ENUM_GUARD
 from .errors import BudgetExceeded, CapacityError, ParameterError
@@ -328,17 +328,22 @@ def efficient_dominating_sets(g: Graph, budget: Optional[int] = None) -> list[in
     their size, which equals the domination number (a dominating set meets
     every chosen closed neighborhood, a 2-packing cannot meet one twice).
     """
+    return sorted(_efficient_sets(g, budget), key=lambda s: tuple(bits(s)))
+
+
+def _efficient_sets(g: Graph, budget: Optional[int] = None) -> Iterator[int]:
+    """The sets of ``efficient_dominating_sets``, yielded in search order, so
+    a caller asking only whether one exists stops at the first."""
     full = g.full_mask
     adjc = g.closed_adj()
     ctr = _Counter(budget)
-    out: list[int] = []
 
-    def dfs(covered: int, smask: int) -> None:
+    def dfs(covered: int, smask: int) -> Iterator[int]:
         ctr.nodes += 1
         if ctr.limit is not None and ctr.nodes > ctr.limit:
             raise BudgetExceeded(ctr.nodes)
         if covered == full:
-            out.append(smask)
+            yield smask
             return
         v = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
         t = adjc[v]
@@ -347,11 +352,9 @@ def efficient_dominating_sets(g: Graph, budget: Optional[int] = None) -> list[in
             t ^= lsb
             u = lsb.bit_length() - 1
             if not adjc[u] & covered:
-                dfs(covered | adjc[u], smask | lsb)
+                yield from dfs(covered | adjc[u], smask | lsb)
 
-    dfs(0, 0)
-    out.sort(key=lambda s: tuple(bits(s)))
-    return out
+    return dfs(0, 0)
 
 
 def is_roman_values(gamma: int, gamma_r: int) -> bool:

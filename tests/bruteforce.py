@@ -145,6 +145,18 @@ def brute_vertex_transitive(n: int, edges) -> bool:
     return len(images) == n
 
 
+def brute_canonical_form(n: int, edges) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """n and the smallest sorted edge list over all n! relabelings.
+
+    Two graphs get the same pair exactly when some relabeling carries one
+    onto the other, that is, when they are isomorphic.
+    """
+    return n, min(
+        tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+        for perm in itertools.permutations(range(n))
+    )
+
+
 def bfs_distances(n: int, edges, source: int) -> list[float]:
     nbrs = _neighbors(n, edges)
     dist: list[float] = [float("inf")] * n

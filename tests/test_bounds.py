@@ -17,6 +17,7 @@ from romdom import (
     STRONG,
     BudgetExceeded,
     Env,
+    Graph,
     ParameterError,
     SuiteSpec,
     THEOREM_ORDER,
@@ -384,7 +385,7 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
         "domination_number",
         "roman_domination_number",
         "two_packing_number",
-        "efficient_dominating_sets",
+        "_efficient_sets",
         "enumerate_optimal_rdfs",
     ):
         solve = getattr(bounds, name)
@@ -396,17 +397,20 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
         monkeypatch.setattr(bounds, name, counted)
     graphs = exhaustive_corpus(3)
     run_suite(SuiteSpec(graphs=tuple(graphs)))
-    n, pairs = len(graphs), len(graphs) * (len(graphs) + 1) // 2
-    assert (n, pairs) == (11, 66)
+    # the 11 labeled graphs fall into 7 isomorphism classes: K1, 2K1, K2,
+    # 3K1, K2+K1, P3, K3; with 28 unordered class pairs
+    classes = len({g.canonical_form for g in graphs})
+    pairs = classes * (classes + 1) // 2
+    assert (len(graphs), classes, pairs) == (11, 7, 28)
     assert calls == {
-        # one per factor graph, plus one per unordered pair and product kind
-        "domination_number": n + 2 * pairs,
-        # ... plus gamma_R(G x K2) for the five regular graphs with an
+        # one per class, plus one per unordered class pair and product kind
+        "domination_number": classes + 2 * pairs,
+        # ... plus gamma_R(G x K2) for the five regular classes with an
         # efficient dominating set: K1, 2K1, K2, 3K1, K3
-        "roman_domination_number": n + 2 * pairs + 5,
-        "two_packing_number": n,
-        "efficient_dominating_sets": n,
-        "enumerate_optimal_rdfs": n,
+        "roman_domination_number": classes + 2 * pairs + 5,
+        "two_packing_number": classes,
+        "_efficient_sets": classes,
+        "enumerate_optimal_rdfs": classes,
     }
 
 
@@ -457,6 +461,26 @@ def test_budget_failure_is_not_shared_across_orientations(monkeypatch, order):
     p5_k4 = {r["status"] for r in report["records"] if (r["g"], r["h"]) == ("P5", "K4")}
     assert p5_k4 == {"checked", "hypothesis-skipped"}
     assert evaluate("EQ-chino", path(5), complete(4), budget=ORIENTED_BUDGET).status == "checked"
+    assert report_to_json(run_suite(spec, jobs=2)) == report_to_json(report)
+
+
+# P3 and star:2 are one isomorphism class; at this budget some of star:2's
+# own solves run out where those on the class's canonical graph do not
+CLASS_BUDGET = 4
+
+
+def test_class_keys_only_add_checked_records(monkeypatch):
+    spec = SuiteSpec(graphs=(path(3), star(2)), budget=CLASS_BUDGET)
+    report = run_suite(spec)
+    with monkeypatch.context() as m:
+        # every labeled graph its own class: memo and task keys by labeling
+        m.setattr(Graph, "canonical_form", property(lambda self: self.adj))
+        labeled = run_suite(spec)
+    assert len(labeled["records"]) == len(report["records"])
+    pairs = list(zip(labeled["records"], report["records"]))
+    assert all(new == old for old, new in pairs if old["status"] == "checked")
+    gained = [new for old, new in pairs if old["status"] != new["status"] == "checked"]
+    assert {(r["g"], r["kind"]) for r in gained} == {("K1,2", "unary")}
     assert report_to_json(run_suite(spec, jobs=2)) == report_to_json(report)
 
 

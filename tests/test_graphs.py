@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,7 @@ from romdom import (
     star,
 )
 
-from bruteforce import all_labeled_graphs, brute_vertex_transitive
+from bruteforce import all_labeled_graphs, brute_canonical_form, brute_vertex_transitive
 
 
 def test_from_edges_basic():
@@ -203,13 +206,99 @@ def test_intransitive_graphs(g):
 
 @pytest.mark.parametrize("g", [complete(64), from_edges(64, [], "64K1")], ids=lambda g: g.name())
 def test_vertex_transitive_closes_the_orbit_in_one_search(monkeypatch, g):
-    # the first automorphism found, 0 -> 63, is the 64-cycle
+    # the root's one cell is a clique or an independent set, so the search
+    # stops there: one refinement, and a transposition and the 64-cycle
     from romdom import graphs
 
     calls = []
-    search = graphs._automorphism
-    monkeypatch.setattr(
-        graphs, "_automorphism", lambda *args: calls.append(1) or search(*args)
-    )
+    refine = graphs._refine
+    monkeypatch.setattr(graphs, "_refine", lambda *args: calls.append(1) or refine(*args))
     assert g.vertex_transitive
-    assert len(calls) <= 2
+    assert len(calls) == 1
+
+
+# -- canonical forms
+
+
+def _edges_of(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(v, u) for v, row in enumerate(rows) for u in bits(row) if v < u]
+
+
+def _relabeled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_canonical_form_matches_oracle():
+    form_of = {}  # oracle form -> canonical form
+    for n, edges in all_labeled_graphs(5):
+        form = from_edges(n, edges).canonical_form
+        oracle = brute_canonical_form(n, edges)
+        # one form per class, and it describes a graph of that class
+        assert form_of.setdefault(oracle, form) == form, edges
+        assert brute_canonical_form(n, _edges_of(form)) == oracle, edges
+    # 1 + 2 + 4 + 11 + 34 classes on 1..5 vertices, each with its own form
+    assert len(form_of) == len(set(form_of.values())) == 52
+
+
+def test_canonical_form_matches_oracle_on_six_vertices():
+    rng = random.Random(6)
+    pairs = list(itertools.combinations(range(6), 2))
+    form_of = {}
+    for _ in range(80):
+        edges = [e for e in pairs if rng.random() < 0.5]
+        form = from_edges(6, edges).canonical_form
+        oracle = brute_canonical_form(6, edges)
+        assert form_of.setdefault(oracle, form) == form, edges
+        assert brute_canonical_form(6, _edges_of(form)) == oracle, edges
+    assert len(form_of) == len(set(form_of.values())) > 40
+
+
+def _petersen() -> Graph:
+    outer = [(v, (v + 1) % 5) for v in range(5)]
+    inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+    return from_edges(10, outer + inner + [(v, 5 + v) for v in range(5)], "Petersen")
+
+
+def _gnm(n: int, m: int, seed: int) -> Graph:
+    pairs = list(itertools.combinations(range(n), 2))
+    return from_edges(n, random.Random(seed).sample(pairs, m), f"G({n},{m})")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        hypercube(3),
+        _petersen(),
+        product(complete(4), cycle(11), CARTESIAN),
+        _gnm(30, 75, 1),
+        complete(64),
+    ],
+    ids=lambda g: g.name(),
+)
+def test_canonical_form_ignores_labels(g):
+    for seed in range(3):
+        assert _relabeled(g, seed).canonical_form == g.canonical_form
+
+
+def _shrikhande() -> Graph:
+    # Cayley graph of Z4 x Z4 on +-(0,1), +-(1,0), +-(1,1)
+    edges = [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4)
+        for b in range(4)
+        for da, db in ((0, 1), (1, 0), (1, 1))
+    ]
+    return from_edges(16, edges, "Shrikhande")
+
+
+def test_canonical_form_separates_lookalikes():
+    # both strongly regular with parameters (16, 6, 2, 2), both transitive
+    shrikhande, rook = _shrikhande(), product(complete(4), complete(4), CARTESIAN)
+    assert shrikhande.vertex_transitive and rook.vertex_transitive
+    assert shrikhande.degrees() == rook.degrees()
+    assert shrikhande.canonical_form != rook.canonical_form
+    two_triangles = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "2C3")
+    assert cycle(6).canonical_form != two_triangles.canonical_form
+    assert cycle(6).canonical_form == _relabeled(cycle(6), 0).canonical_form

@@ -88,11 +88,14 @@ def _solve_sources(args) -> list[Graph]:
     if args.family is not None:
         return [make_family(parse_family(args.family))]
     graphs = []
-    with open(args.file, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line))
+    try:
+        with open(args.file, encoding="ascii") as fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    graphs.append(parse_graph6(line))
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{args.file}: byte {exc.object[exc.start]:#04x} is not ASCII") from None
     if not graphs:
         raise ParameterError(f"no graph6 lines in {args.file}")
     return graphs

@@ -12,8 +12,9 @@ from .errors import ParameterError
 
 DEFAULT_MAX_WIDTH = 64
 
-# enumerate_optimal_rdfs walks all vertex subsets of size <= gamma_R/2; past
-# this order that stops being a casual operation.
+# enumerate_optimal_rdfs refuses larger graphs: the number of optimal Roman
+# functions grows exponentially (3^k on k disjoint edges), and the callers
+# that read optima fall back to the solver witness past this order.
 DEFAULT_ENUM_GUARD = 26
 
 DEFAULT_SUITE_BUDGET = 10**8

@@ -37,8 +37,6 @@ from .graphs import Graph, from_edges
 
 _MASK64 = (1 << 64) - 1
 
-FAMILY_KINDS = ("path", "cycle", "complete", "star", "spider", "hypercube", "random")
-
 
 def splitmix64(seed: int) -> Iterator[int]:
     """Yield the splitmix64 stream for ``seed`` (taken mod 2**64)."""
@@ -123,6 +121,19 @@ def random_graph(n: int, num: int, den: int, seed: int) -> Graph:
     return from_edges(n, edges, f"R({n},{num}/{den},s{seed})")
 
 
+_BUILDERS = {
+    "path": path,
+    "cycle": cycle,
+    "complete": complete,
+    "star": star,
+    "spider": spider,
+    "hypercube": hypercube,
+    "random": random_graph,
+}
+
+FAMILY_KINDS = tuple(_BUILDERS)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parsed family descriptor; ``params`` meaning depends on ``kind``."""
@@ -166,18 +177,7 @@ def parse_family(text: str) -> FamilySpec:
 
 
 def make_family(spec: FamilySpec) -> Graph:
-    if spec.kind == "path":
-        return path(*spec.params)
-    if spec.kind == "cycle":
-        return cycle(*spec.params)
-    if spec.kind == "complete":
-        return complete(*spec.params)
-    if spec.kind == "star":
-        return star(*spec.params)
-    if spec.kind == "spider":
-        return spider(*spec.params)
-    if spec.kind == "hypercube":
-        return hypercube(*spec.params)
-    if spec.kind == "random":
-        return random_graph(*spec.params)
-    raise ParameterError(f"unknown family kind {spec.kind!r}")
+    builder = _BUILDERS.get(spec.kind)
+    if builder is None:
+        raise ParameterError(f"unknown family kind {spec.kind!r}")
+    return builder(*spec.params)

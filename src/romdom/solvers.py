@@ -59,6 +59,18 @@ optimum in search order. Detecting transitivity (``Graph.vertex_transitive``,
 computed once per graph) costs more than a small search saves, so it is
 consulted only when a root branch returns and the search has spent at least
 n^2 nodes.
+
+Optimal ties. Given the optimum, the search lists every optimal S instead
+(``enumerate_optimal_rdfs``): best stays at the optimum plus one, every
+leaf is kept, and the root symmetry cut, sound only when one optimum is
+wanted, is skipped. A leaf charges exactly V minus N[S]. Each optimal S is
+reached exactly once. Its branch is fixed at every node: the miss branch
+when v lies outside N[S], else the pick of the lowest member of S in N[v]
+(earlier siblings pick non-members, later ones refuse it, the miss branch
+refuses all of N[v]). No bound cuts that path, and it picks every member
+u of S: u has a private vertex w of N[S] (else S minus u would cost 2
+less), which stays unresolved until u joins, so w becomes a branch vertex
+and picks u.
 """
 
 from __future__ import annotations
@@ -136,24 +148,29 @@ def _root_cut(g: Graph, ctr: _Counter) -> bool:
 
 
 def _cover_search(
-    g: Graph, budget: Optional[int], pick: int, miss: Optional[int]
-) -> tuple[int, int, int, int]:
+    g: Graph, budget: Optional[int], pick: int, miss: Optional[int], optimum: Optional[int] = None
+) -> tuple[int, list[tuple[int, int]], int]:
     """Minimize pick * |S| + miss * |V minus N[S]| over vertex sets S, where
     ``miss=None`` forbids undominated vertices (see the module docstring).
 
-    Returns the optimum, the first optimal S in search order, the vertices
-    it leaves outside N[S] (charged ``miss`` each), and the node count.
+    Returns the optimum, a list of optimal pairs (S, the vertices outside
+    N[S], charged ``miss`` each) and the node count: the first optimum in
+    search order or, given the ``optimum``, all of them (optimal ties).
     """
     n = g.n
     full = g.full_mask
     adjc = g.closed_adj()
     top = max(m.bit_count() for m in adjc)
     ctr = _Counter(budget)
-    best = n + 1 if miss is None else miss * n
-    best_pair = (0, full)
+    if optimum is None:
+        best = n + 1 if miss is None else miss * n
+        leaves = [(0, full)]
+    else:
+        best = optimum + 1
+        leaves = []
 
     def dfs(smask: int, covered: int, ones: int, excluded: int, cost: int) -> None:
-        nonlocal best, best_pair
+        nonlocal best
         ctr.nodes += 1
         if ctr.limit is not None and ctr.nodes > ctr.limit:
             raise BudgetExceeded(ctr.nodes)
@@ -173,8 +190,11 @@ def _cover_search(
                     if cost >= best:
                         return
         if not undom:
-            best = cost
-            best_pair = (smask, ones)
+            if optimum is None:
+                best = cost
+                leaves[0] = (smask, ones)
+            else:
+                leaves.append((smask, ones))
             return
         # packing bound (module docstring): the walk counts T down from
         # best - cost; one and two mark the allowed vertices that dominate
@@ -219,7 +239,7 @@ def _cover_search(
             lsb = cands & -cands
             cands ^= lsb
             dfs(smask | lsb, covered | adjc[lsb.bit_length() - 1], ones, ex, cost + pick)
-            if not (smask | excluded) and _root_cut(g, ctr):
+            if not (smask | excluded) and optimum is None and _root_cut(g, ctr):
                 return
             ex |= lsb
         if miss is not None:
@@ -227,19 +247,19 @@ def _cover_search(
             dfs(smask, covered, ones | v, ex, cost + miss)
 
     dfs(0, 0, 0, 0, 0)
-    return best, best_pair[0], best_pair[1], ctr.nodes
+    return best if optimum is None else optimum, leaves, ctr.nodes
 
 
 def domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
     """Minimum size of a set whose closed neighborhoods cover every vertex."""
-    value, smask, _, nodes = _cover_search(g, budget, pick=1, miss=None)
+    value, [(smask, _)], nodes = _cover_search(g, budget, pick=1, miss=None)
     return InvariantResult(value, smask, nodes)
 
 
 def roman_domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
     """Minimum Roman weight: 2 per vertex of S, plus a forced 1 on each vertex
     outside N[S]."""
-    value, smask, ones, nodes = _cover_search(g, budget, pick=2, miss=1)
+    value, [(smask, ones)], nodes = _cover_search(g, budget, pick=2, miss=1)
     return InvariantResult(value, roman_function_from_b2(g.n, smask, ones), nodes)
 
 
@@ -247,43 +267,18 @@ def enumerate_optimal_rdfs(g: Graph, budget: Optional[int] = None) -> list[Roman
     """All minimum-weight Roman functions, ordered by ascending 2-set mask.
 
     Optimal functions correspond one-to-one with sets S whose completion cost
-    2|S| + n - |N[S]| equals gamma_R, with the ones forced onto V minus N[S];
-    so it suffices to scan subsets of size at most gamma_R / 2. ``budget``
-    caps the gamma_R solve and, separately, the subsets scanned.
+    2|S| + n - |N[S]| equals gamma_R, with the ones forced onto V minus N[S]:
+    a second covering search, given gamma_R, collects every one of them
+    (optimal ties in the module docstring). ``budget`` caps the gamma_R
+    solve and, separately, that search.
     """
     if g.n > DEFAULT_ENUM_GUARD:
         raise CapacityError(
             f"enumeration guard: {g.n} vertices exceed the configured bound {DEFAULT_ENUM_GUARD}"
         )
-    n = g.n
-    full = g.full_mask
-    adjc = g.closed_adj()
     target = roman_domination_number(g, budget).value
-    kmax = target // 2
-    found: list[int] = []
-    ctr = _Counter(budget)
-
-    def rec(start: int, smask: int, covered: int, size: int) -> None:
-        ctr.nodes += 1
-        if ctr.limit is not None and ctr.nodes > ctr.limit:
-            raise BudgetExceeded(ctr.nodes)
-        if 2 * size + n - covered.bit_count() == target:
-            found.append(smask)
-        if size == kmax:
-            return
-        for u in range(start, n):
-            rec(u + 1, smask | (1 << u), covered | adjc[u], size + 1)
-
-    rec(0, 0, 0, 0)
-    found.sort()
-    return [roman_function_from_b2(n, s, full & ~_neighborhood(adjc, s)) for s in found]
-
-
-def _neighborhood(adjc: list[int], smask: int) -> int:
-    m = 0
-    for v in bits(smask):
-        m |= adjc[v]
-    return m
+    _, ties, _ = _cover_search(g, budget, pick=2, miss=1, optimum=target)
+    return [roman_function_from_b2(g.n, s, ones) for s, ones in sorted(ties)]
 
 
 def two_packing_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:

@@ -3,8 +3,9 @@
 Everything here works from (n, edge list) and imports nothing from the
 package. Most oracles use plain sets and itertools, deliberately sharing no
 representation with the package's bitmask solvers; ``brute_covers``, the one
-search sized for 64 vertices, keeps its sets as ints built from the edge list
-itself. Exponential in n; callers keep instances small.
+search sized for 64 vertices, and ``brute_optimal_rdfs_subsets``, a table
+over all 2^n sets, keep their sets as ints built from the edge list itself.
+Exponential in n; callers keep instances small.
 """
 
 from __future__ import annotations
@@ -118,6 +119,31 @@ def brute_optimal_rdfs(n: int, edges) -> list[tuple[int, ...]]:
             continue
         out.append(labels)
     return sorted(out)
+
+
+def brute_optimal_rdfs_subsets(n: int, edges) -> list[tuple[int, ...]]:
+    """Second route to every minimum-weight Roman labeling, sorted.
+
+    An optimal labeling puts its 1s exactly outside N[S], S being its 2s
+    (a 0 there would be undominated, a 1 inside could drop to 0), so it is
+    2 on S, 1 outside N[S] and 0 elsewhere. This tabulates N[S] for all 2^n
+    sets S, each from S minus its lowest member, and keeps the cheapest.
+    """
+    closed = [1 << v for v in range(n)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    cover = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        cover[s] = cover[s ^ low] | closed[low.bit_length() - 1]
+    cost = [2 * s.bit_count() + n - c.bit_count() for s, c in enumerate(cover)]
+    best = min(cost)
+    return sorted(
+        tuple(2 if s >> v & 1 else 0 if cover[s] >> v & 1 else 1 for v in range(n))
+        for s in range(1 << n)
+        if cost[s] == best
+    )
 
 
 def all_labeled_graphs(max_n: int):

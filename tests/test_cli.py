@@ -61,6 +61,15 @@ def test_solve_file_emits_jsonl(tmp_path, capsys):
     assert [json.loads(line)["value"] for line in lines] == [1, 1]
 
 
+def test_solve_file_that_is_not_ascii_exits_2(tmp_path, capsys):
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(b"A_\n\xc3\n")
+    code, out, err = run_cli(capsys, "solve", "--file", str(src), "--invariant", "gamma")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(src) in err
+
+
 def test_solve_requires_one_source(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--g6", "@", "--family", "path:3", "--invariant", "gamma"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from romdom import (
 )
 from romdom import solvers
 
-from bruteforce import brute_optimal_rdfs
+from bruteforce import all_labeled_graphs, brute_optimal_rdfs, brute_optimal_rdfs_subsets
 
 
 @st.composite
@@ -36,6 +38,35 @@ def small_graphs(draw, max_n: int = 6):
 def test_enumeration_matches_oracle(g):
     got = sorted(f.labels for f in enumerate_optimal_rdfs(g))
     assert got == brute_optimal_rdfs(g.n, list(g.edges()))
+
+
+def test_enumeration_matches_oracle_on_every_small_graph():
+    for n, edges in all_labeled_graphs(5):
+        optima = enumerate_optimal_rdfs(from_edges(n, edges))
+        assert sorted(f.labels for f in optima) == brute_optimal_rdfs(n, edges), edges
+        masks = [f.b2 for f in optima]
+        assert masks == sorted(set(masks)), edges
+
+
+def test_enumeration_where_the_packing_bound_prunes():
+    # seeded G(n, m) graphs, n in 10..14 with n to 2n edges, whose collecting
+    # searches the packing bound prunes, against the 2^n oracle
+    for n in (10, 12, 14):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        for m in (n, 3 * n // 2, 2 * n):
+            for seed in range(5):
+                edges = random.Random(f"ties:{n}:{m}:{seed}").sample(pairs, m)
+                got = [f.labels for f in enumerate_optimal_rdfs(from_edges(n, edges))]
+                assert sorted(got) == brute_optimal_rdfs_subsets(n, edges), edges
+
+
+def test_disjoint_edges_have_three_optima_each():
+    # every K2 takes (2, 0), (0, 2) or (1, 1) on its own: 3^k optima on kK2
+    for k in range(1, 8):
+        edges = [(2 * i, 2 * i + 1) for i in range(k)]
+        got = [f.labels for f in enumerate_optimal_rdfs(from_edges(2 * k, edges))]
+        assert len(got) == 3**k
+        assert sorted(got) == brute_optimal_rdfs_subsets(2 * k, edges)
 
 
 @given(small_graphs())
@@ -84,9 +115,8 @@ def test_enumeration_guard(monkeypatch):
 
 
 def test_enumeration_counts_subsets_against_the_budget():
-    # gamma_R(20K1) = 20 takes one node, but the scan then visits every
-    # subset of at most 10 vertices: 616,666 of them
-    g = from_edges(20, [])
+    # gamma_R(10K2) = 20 takes one node, but its 3^10 = 59,049 optima take
+    # the collecting search 88,573 nodes
     with pytest.raises(BudgetExceeded):
-        enumerate_optimal_rdfs(g, budget=1000)
-    assert [f.labels for f in enumerate_optimal_rdfs(g)] == [(1,) * 20]
+        enumerate_optimal_rdfs(from_edges(20, [(2 * i, 2 * i + 1) for i in range(10)]), budget=1000)
+    assert [f.labels for f in enumerate_optimal_rdfs(from_edges(20, []))] == [(1,) * 20]

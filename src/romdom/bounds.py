@@ -21,11 +21,13 @@ ordered pairs of its corpus.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import multiprocessing
 from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .config import DEFAULT_SUITE_BUDGET
@@ -981,7 +983,61 @@ def suite_ok(report: dict) -> bool:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for byte.
+
+    ``indent`` sends ``json.dumps`` to the standard library's pure-Python
+    encoder, which on a large report is slow and builds millions of small
+    chunks. Here each container whose values are all scalars (every record)
+    is one call of the C encoder, whose item separator carries the newline
+    and indentation; only the containers above those are walked in Python.
+    """
+    out: list[str] = []
+    _encode(report, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder writing a container of scalars at ``depth`` with its items
+    one level deeper, but without the newlines next to its brackets."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _encode(value, depth: int, out: list[str]) -> None:
+    """Append the chunks of ``value`` at nesting ``depth`` to ``out``."""
+    if not isinstance(value, _CONTAINERS):
+        out.append(_flat_encoder(depth).encode(value))
+        return
+    is_dict = isinstance(value, dict)
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    items = value.values() if is_dict else value
+    if not any(isinstance(v, _CONTAINERS) for v in items):
+        # one chunk, not five: on a report of small records the chunks' own
+        # overhead would otherwise rival the text's size in memory
+        text = _flat_encoder(depth).encode(value)
+        out.append(f"{text[0]}{inner}{text[1:-1]}{close}{text[-1]}")
+        return
+    out.append("{" if is_dict else "[")
+    sep, comma = inner, "," + inner
+    if is_dict:
+        for key in sorted(value):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _encode(value[key], depth + 1, out)
+            sep = comma
+    else:
+        for item in value:
+            out.append(sep)
+            _encode(item, depth + 1, out)
+            sep = comma
+    out += (close, "}" if is_dict else "]")
 
 
 def report_to_csv(report: dict) -> str:

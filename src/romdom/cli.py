@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -158,6 +159,8 @@ def _cmd_construct(args) -> int:
 
 
 def _verify_corpus(args) -> list[Graph]:
+    if args.family and args.corpus != "families":
+        raise ParameterError(f"--family needs --corpus families, not --corpus {args.corpus}")
     if args.corpus == "exhaustive":
         return exhaustive_corpus(args.max_n)
     if args.corpus == "random":
@@ -184,21 +187,22 @@ def _cmd_verify(args) -> int:
         budget=args.budget,
         max_product=args.max_product,
     )
-    report = run_suite(spec, jobs=args.jobs)
-    payload = report_to_json(report)
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(report_to_csv(report))
-    if args.log:
-        with open(args.log, "a", encoding="ascii") as fh:
+    with ExitStack() as stack:
+        # every output is opened before the sweep, so a bad path fails at once
+        def output(path: Optional[str], mode: str):
+            return stack.enter_context(open(path, mode, encoding="ascii")) if path else None
+
+        report_fh = output(args.report, "w") or sys.stdout
+        csv_fh = output(args.csv, "w")
+        log_fh = output(args.log, "a")
+        report = run_suite(spec, jobs=args.jobs)
+        report_fh.write(report_to_json(report))
+        if csv_fh is not None:
+            csv_fh.write(report_to_csv(report))
+        if log_fh is not None:
             ts = datetime.now(timezone.utc).isoformat()
             for rec in report["records"]:
-                fh.write(json.dumps({"ts": ts, "record": rec}, sort_keys=True) + "\n")
+                log_fh.write(json.dumps({"ts": ts, "record": rec}, sort_keys=True) + "\n")
     summary = report["summary"]
     sys.stderr.write(
         "checked={checked} held={held} tight={tight} "

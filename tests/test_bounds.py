@@ -9,7 +9,7 @@ import multiprocessing
 import traceback
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from romdom import (
@@ -513,3 +513,48 @@ def test_families_report_bytes_are_pinned():
     spec = SuiteSpec(graphs=tuple(default_corpus()), budget=2_000_000, max_product=48)
     digest = hashlib.sha256(report_to_json(run_suite(spec)).encode("ascii")).hexdigest()
     assert digest == "73a77d204034d6b692a93bcdaf7de0af7d40609cb8e77091c9a6574bf5bba2b5"
+
+
+def test_exhaustive_report_bytes_are_pinned():
+    # the bytes of `verify --corpus exhaustive --max-n 4 --budget 2000000`
+    spec = SuiteSpec(graphs=tuple(exhaustive_corpus(4)), budget=2_000_000)
+    digest = hashlib.sha256(report_to_json(run_suite(spec)).encode("ascii")).hexdigest()
+    assert digest == "f896d45cc7f4c711514d7c4c1945319f67e44d3c7f7329e1a30898a509bd097a"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+@example({"b": [{}, [], ()], "a": {"z": [1, {"y": {}}], "\u00e9\n\"": (2**70, -(2**65))}})
+@example([[["\u2603", "\t\x00", "", None, True, False]], [float("inf"), float("-inf"), float("nan")]])
+@example({"records": [{"b": 1, "a": 2.5, "witnesses": {"z": "Bw", "h": None}}], "corpus": []})
+@settings(max_examples=200, deadline=None)
+def test_report_to_json_is_indented_json_dumps(value):
+    assert report_to_json(value) == _dumps(value)
+
+
+def test_report_to_json_with_witnesses_is_indented_json_dumps(monkeypatch):
+    _failing(monkeypatch, "T-lower-ii", CARTESIAN)
+    _failing(monkeypatch, "C-coroloco", STRONG)
+    report = run_suite(SuiteSpec(graphs=tuple(exhaustive_corpus(3))))
+    assert any("witnesses" in r for r in report["records"])
+    assert report_to_json(report) == _dumps(report)

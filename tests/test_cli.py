@@ -169,6 +169,41 @@ def test_verify_report_csv_log_files(tmp_path, capsys):
     assert len(log_path.read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize("corpus", ["exhaustive", "random"])
+def test_verify_family_needs_the_families_corpus(capsys, corpus):
+    code, out, err = run_cli(
+        capsys, "verify", "--corpus", corpus, "--max-n", "3", "--family", "path:4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--family" in err and f"--corpus {corpus}" in err
+
+
+@pytest.mark.parametrize("flag", ["--report", "--csv", "--log"])
+def test_verify_bad_output_path_fails_before_the_sweep(tmp_path, capsys, monkeypatch, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("run_suite reached")
+
+    monkeypatch.setattr("romdom.cli.run_suite", never)
+    bad = tmp_path / "missing" / "out"
+    code, out, err = run_cli(
+        capsys, "verify", "--corpus", "exhaustive", "--max-n", "2", flag, str(bad)
+    )
+    assert code == 2
+    assert out == ""
+    assert str(bad) in err and "run_suite reached" not in err
+
+
+def test_verify_stdout_bytes_equal_report_file_bytes(tmp_path, capsysbinary):
+    argv = ["verify", "--corpus", "exhaustive", "--max-n", "3"]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    report_path = tmp_path / "r.json"
+    assert main([*argv, "--report", str(report_path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert report_path.read_bytes() == stdout
+
+
 def test_verify_random_corpus(capsys):
     code, out, _ = run_cli(
         capsys,

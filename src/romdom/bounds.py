@@ -41,6 +41,7 @@ from .graphs import (
     Graph,
     components,
     from_edges,
+    induced,
     is_connected,
     is_cycle_graph,
     is_path_graph,
@@ -48,6 +49,7 @@ from .graphs import (
 )
 from .solvers import (
     _efficient_sets,
+    _optimal_ties,
     domination_number,
     # not called here: perfbench/probe.py wraps the solver names bounds imports
     efficient_dominating_sets,  # noqa: F401
@@ -85,6 +87,18 @@ def _memoized(memo: dict, key, fn, failure_key=None):
     return value
 
 
+_K2 = complete(2)
+
+
+def _component_classes(g: Graph) -> tuple[Graph, ...]:
+    """The canonical graph of each component's class, for a canonical ``g``."""
+    masks = components(g)
+    if len(masks) == 1:
+        return (g,)
+    parts = [induced(g, mask) for mask in masks]
+    return tuple(Graph(p.n, p.canonical_form) for p in parts)
+
+
 class Env:
     """Memoized invariants for one instance (a graph, or an ordered pair).
 
@@ -95,14 +109,29 @@ class Env:
 
     Every invariant the checks read is an isomorphism invariant of G, of H
     or of the unordered pair, so the solve memo shares values across
-    isomorphism classes (``Graph.canonical_form``). A factor invariant is
-    solved on the class's canonical graph, so its outcome is the same for
-    every labeling and every task; only when that runs out is the labeled
-    graph solved too, its failure kept under its labeled adjacency. A
-    product invariant keeps its value under the class pair and a failure
+    isomorphism classes (``Graph.canonical_form``). Each factor invariant
+    adds over components (``all`` for the efficient-domination test), and
+    the components of G x H are the products of G's and H's components, so
+    a graph or a pair with a disconnected factor is solved by components:
+
+    - A factor invariant is kept per class under ``(name, form)``: on a
+      connected class, its canonical graph's value; else the sum of its
+      components' class values, the same keys. Its outcome is the same for
+      every labeling and every task; only when it runs out is the labeled
+      graph solved whole, its outcome kept under its labeled adjacency.
+    - A pair with a disconnected factor is the sum over component pairs.
+      Each is solved on the two canonical graphs, the larger first, its
+      value and failure kept under ``("part", name, kind, classes)`` for
+      its unordered class pair: never a connected pair's key, so its
+      outcome depends on its classes alone, whatever the task order.
+    - A connected pair is the one-term case, solved on the labeled pair.
+
+    Either way a pair keeps its value under the class pair and a failure
     under the labeled pair, so a labeling that runs out does not stop a
-    later one from trying. The one labeled object a check reads, the
-    gamma_R witness behind ``max_b2``'s fallback, is keyed by labeled graph.
+    later one from trying.
+
+    The one labeled object a check reads, the gamma_R witness behind
+    ``max_b2``'s fallback, is keyed by labeled graph.
     """
 
     def __init__(self, g: Graph, h: Optional[Graph] = None, budget: Optional[int] = None):
@@ -124,49 +153,92 @@ class Env:
             self._memo[key] = fn()
         return self._memo[key]
 
-    def _factor(self, name: str, x: str, solve):
-        def shared():
-            gr = self.graph(x)
-            form = gr.canonical_form
-            try:
-                return _memoized(self._sweep, (name, form), lambda: solve(Graph(gr.n, form)))
-            except (BudgetExceeded, CapacityError):
-                if form == gr.adj:
-                    raise
-            return _memoized(self._sweep, (name, gr), lambda: solve(gr))
+    def _parts(self, gr: Graph) -> tuple[Graph, ...]:
+        """The canonical graphs of the classes of ``gr``'s components, kept
+        per class of ``gr``."""
+        form = gr.canonical_form
+        key = ("parts", form)
+        parts = self._sweep.get(key)
+        if parts is None:
+            parts = self._sweep[key] = _component_classes(Graph(gr.n, form))
+        return parts
 
-        return self._get((name, x), shared)
+    def _factor(self, name: str, x: str, solve, combine=sum):
+        return self._get((name, x), lambda: self._by_components(name, self.graph(x), solve, combine))
+
+    def _by_components(self, name: str, gr: Graph, solve, combine=sum):
+        """``solve``'s value on ``gr``, kept per class under ``(name, form)``:
+        on a connected class, ``solve`` on its canonical graph, else
+        ``combine`` of the components' class values. Only when that runs out
+        is ``gr`` itself solved, its outcome kept under the labeled graph."""
+        form = gr.canonical_form
+
+        def by_class():
+            parts = self._parts(gr)
+            if len(parts) == 1:
+                return solve(parts[0])
+            return combine(self._by_components(name, p, solve, combine) for p in parts)
+
+        try:
+            return _memoized(self._sweep, (name, form), by_class)
+        except (BudgetExceeded, CapacityError):
+            if form == gr.adj:
+                raise
+        return _memoized(self._sweep, (name, gr), lambda: solve(gr))
 
     def _product(self, name: str, kind: str, solver):
-        return self._get((name, kind), lambda: self._pair_outcome(name, kind, solver))
+        def outcome():
+            self._kinds.add(kind)
+            g, h = self.g, self.h
+            return self._pair_value(
+                name,
+                kind,
+                solver,
+                h,
+                (name, kind, frozenset((g.canonical_form, h.canonical_form))),
+                (name, kind, frozenset((g, h))),
+                lambda: self.prod(kind),
+            )
 
-    def _pair_outcome(self, name: str, kind: str, solver):
-        """``solver``'s value on G x H, shared with every pair of the same
-        two isomorphism classes through the solve memo.
+        return self._get((name, kind), outcome)
 
-        G x H and H x G are isomorphic, so the memo keeps one value per
-        unordered class pair: G x H's; else, when G x H runs out and H != G,
-        H x G's. A failure is kept under the labeled pair {G, H}. G is the
-        pair's first orientation in report order, and ``run_suite`` keeps
-        every labeled pair of a class pair in one task, in report order, so
-        the outcome does not depend on ``jobs``. The product graph is built
-        only for a solve; ``witness_payload`` builds it for the report.
+    def _pair_value(self, name: str, kind: str, solver, h: Graph, key, failure_key, labeled):
+        """``solver``'s value on G x ``h``, kept under ``key`` (its class
+        pair), a failure under ``failure_key`` (its labeled pair).
+
+        With a disconnected factor it is the sum over component pairs (see
+        the class docstring). A connected pair is solved on ``labeled()``,
+        G x h itself; G x h and h x G are isomorphic, so when G x h runs out
+        and h != G, h x G is solved instead. G is the pair's first
+        orientation in report order, and ``run_suite`` keeps every labeled
+        pair of a class pair in one task, in report order, so the outcome
+        does not depend on ``jobs``. The labeled product is built only for a
+        solve; ``witness_payload`` builds it for the report.
         """
-        g, h = self.g, self.h
-        self._kinds.add(kind)
+        g = self.g
 
-        def either():
+        def solve():
+            terms = [(a, b) for a in self._parts(g) for b in self._parts(h)]
+            if len(terms) > 1:
+                return sum(self._component_pair(name, kind, solver, a, b) for a, b in terms)
             try:
-                return solver(self.prod(kind), self.budget).value
+                return solver(labeled(), self.budget).value
             except (BudgetExceeded, CapacityError):
                 if h != g:
                     with suppress(BudgetExceeded, CapacityError):
                         return solver(product(h, g, kind), self.budget).value
                 raise
 
-        classes = frozenset((g.canonical_form, h.canonical_form))
+        return _memoized(self._sweep, key, solve, failure_key)
+
+    def _component_pair(self, name: str, kind: str, solver, a: Graph, b: Graph) -> int:
+        """``solver``'s value on the product of two canonical component graphs."""
+        # larger first: fewer nodes than smaller first on the pinned sweeps
+        first, second = sorted((a, b), key=lambda p: (p.n, p.adj), reverse=True)
         return _memoized(
-            self._sweep, (name, kind, classes), either, (name, kind, frozenset((g, h)))
+            self._sweep,
+            ("part", name, kind, frozenset((a.adj, b.adj))),
+            lambda: solver(product(first, second, kind), self.budget).value,
         )
 
     # -- factor invariants
@@ -181,21 +253,34 @@ class Env:
         return self._factor("gamma", x, lambda gr: domination_number(gr, self.budget).value)
 
     def gammar(self, x: str) -> int:
-        return self._factor("gammar", x, lambda gr: roman_domination_number(gr, self.budget).value)
+        return self._factor("gammar", x, self._solve_gammar)
+
+    def _solve_gammar(self, gr: Graph) -> int:
+        return roman_domination_number(gr, self.budget).value
 
     def p2(self, x: str) -> int:
         return self._factor("p2", x, lambda gr: two_packing_number(gr, self.budget).value)
 
     def in_f(self, x: str) -> bool:
         return self._factor(
-            "in_f", x, lambda gr: next(_efficient_sets(gr, self.budget), None) is not None
+            "in_f", x, lambda gr: next(_efficient_sets(gr, self.budget), None) is not None, all
         )
 
     def roman(self, x: str) -> bool:
         return is_roman_values(self.gamma(x), self.gammar(x))
 
-    def optima(self, x: str):
-        return self._factor("optima", x, lambda gr: enumerate_optimal_rdfs(gr, budget=self.budget))
+    def optima(self, x: str) -> tuple[int, int]:
+        """Largest |B2| and smallest |B1| over the optimal Roman functions.
+
+        An optimal function is a union of optimal functions on the
+        components, so both add over components."""
+
+        def extremes(gr: Graph) -> tuple[int, int]:
+            target = self._by_components("gammar", gr, self._solve_gammar)
+            ties = _optimal_ties(gr, target, self.budget)
+            return max(s.bit_count() for s, _ in ties), min(ones.bit_count() for _, ones in ties)
+
+        return self._factor("optima", x, extremes, lambda pairs: tuple(map(sum, zip(*pairs))))
 
     def connected(self, x: str) -> bool:
         return is_connected(self.graph(x))
@@ -217,7 +302,7 @@ class Env:
     def max_b2(self, x: str) -> tuple[int, str]:
         """Largest 2-set size over optimal Roman functions, with selection mode."""
         try:
-            return max(f.b2.bit_count() for f in self.optima(x)), "enumerated"
+            return self.optima(x)[0], "enumerated"
         except CapacityError:
             gr = self.graph(x)
             fn = self._get(
@@ -247,16 +332,23 @@ class Env:
         return self._product("gammar_prod", kind, roman_domination_number)
 
     def prod_k2(self) -> Graph:
-        return self._get(("prod_k2",), lambda: product(self.g, complete(2), CARTESIAN))
+        return self._get(("prod_k2",), lambda: product(self.g, _K2, CARTESIAN))
 
     def gammar_k2(self) -> int:
+        """gamma_R(G x K2), the Cartesian pair {G, K2}: a disconnected G shares
+        its component pairs with ``gammar_prod``."""
+
         def solve() -> int:
-            prod = self.prod_k2()
-            return _memoized(
-                self._sweep,
-                ("gammar_k2", self.g.canonical_form),
-                lambda: roman_domination_number(prod, self.budget).value,
-                ("gammar_k2", self.g),
+            g = self.g
+            self.prod_k2()  # in the witnesses whenever gamma_R(G x K2) is read
+            return self._pair_value(
+                "gammar_prod",
+                CARTESIAN,
+                roman_domination_number,
+                _K2,
+                ("gammar_k2", g.canonical_form),
+                ("gammar_k2", g),
+                self.prod_k2,
             )
 
         return self._get(("gammar_k2",), solve)
@@ -345,7 +437,7 @@ def _registry() -> list[TheoremSpec]:
             _UNCONDITIONAL,
             lambda e: (
                 "<=",
-                max(f.b2.bit_count() for f in e.optima("g")),
+                e.optima("g")[0],
                 e.gammar("g") - e.gamma("g"),
             ),
         ),
@@ -357,7 +449,7 @@ def _registry() -> list[TheoremSpec]:
             _UNCONDITIONAL,
             lambda e: (
                 ">=",
-                min(f.b1.bit_count() for f in e.optima("g")),
+                e.optima("g")[1],
                 2 * e.gamma("g") - e.gammar("g"),
             ),
         ),

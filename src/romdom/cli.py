@@ -158,9 +158,24 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+# each corpus's own options and their defaults; the options of a corpus not
+# chosen are a usage error, not silently ignored
+_CORPUS_OPTIONS = {
+    "families": {"family": None},
+    "exhaustive": {"max_n": 4},
+    "random": {"count": 20, "n_min": 4, "n_max": 6, "seed": 0},
+}
+
+
 def _verify_corpus(args) -> list[Graph]:
-    if args.family and args.corpus != "families":
-        raise ParameterError(f"--family needs --corpus families, not --corpus {args.corpus}")
+    for corpus, options in _CORPUS_OPTIONS.items():
+        for dest, default in options.items():
+            if corpus == args.corpus:
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
+            elif getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise ParameterError(f"{flag} needs --corpus {corpus}, not --corpus {args.corpus}")
     if args.corpus == "exhaustive":
         return exhaustive_corpus(args.max_n)
     if args.corpus == "random":
@@ -293,11 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="with --corpus families: replace the default corpus (repeatable)",
     )
-    p_ver.add_argument("--max-n", type=int, default=4, help="exhaustive corpus order cap")
-    p_ver.add_argument("--count", type=int, default=20, help="random corpus size")
-    p_ver.add_argument("--n-min", type=int, default=4)
-    p_ver.add_argument("--n-max", type=int, default=6)
-    p_ver.add_argument("--seed", type=int, default=0)
+    exh, rnd = _CORPUS_OPTIONS["exhaustive"], _CORPUS_OPTIONS["random"]
+    p_ver.add_argument("--max-n", type=int, help=f"exhaustive corpus order cap ({exh['max_n']})")
+    p_ver.add_argument("--count", type=int, help=f"random corpus size ({rnd['count']})")
+    p_ver.add_argument("--n-min", type=int, help=f"random corpus smallest order ({rnd['n_min']})")
+    p_ver.add_argument("--n-max", type=int, help=f"random corpus largest order ({rnd['n_max']})")
+    p_ver.add_argument("--seed", type=int, help=f"random corpus first seed ({rnd['seed']})")
     p_ver.add_argument("--theorems", help="comma-separated ids or unambiguous prefixes")
     p_ver.add_argument(
         "--products",

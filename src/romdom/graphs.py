@@ -416,6 +416,14 @@ def components(g: Graph) -> list[int]:
     return out
 
 
+def induced(g: Graph, mask: int) -> Graph:
+    """The subgraph on the vertices of ``mask``, renumbered in ascending order."""
+    vertices = list(bits(mask))
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = tuple(mask_of(index[u] for u in bits(g.adj[v] & mask)) for v in vertices)
+    return Graph(len(vertices), adj)
+
+
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 

@@ -272,13 +272,25 @@ def enumerate_optimal_rdfs(g: Graph, budget: Optional[int] = None) -> list[Roman
     (optimal ties in the module docstring). ``budget`` caps the gamma_R
     solve and, separately, that search.
     """
+    _enumeration_guard(g)  # before the gamma_R solve, not after it
+    ties = _optimal_ties(g, roman_domination_number(g, budget).value, budget)
+    return [roman_function_from_b2(g.n, s, ones) for s, ones in ties]
+
+
+def _enumeration_guard(g: Graph) -> None:
     if g.n > DEFAULT_ENUM_GUARD:
         raise CapacityError(
             f"enumeration guard: {g.n} vertices exceed the configured bound {DEFAULT_ENUM_GUARD}"
         )
-    target = roman_domination_number(g, budget).value
+
+
+def _optimal_ties(g: Graph, target: int, budget: Optional[int] = None) -> list[tuple[int, int]]:
+    """Every optimal Roman function of ``g``, whose weight ``target`` is
+    known, as sorted (2-set, 1-set) mask pairs: the collecting run of
+    ``enumerate_optimal_rdfs``, for a caller that has solved gamma_R already."""
+    _enumeration_guard(g)
     _, ties, _ = _cover_search(g, budget, pick=2, miss=1, optimum=target)
-    return [roman_function_from_b2(g.n, s, ones) for s, ones in sorted(ties)]
+    return sorted(ties)
 
 
 def two_packing_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:

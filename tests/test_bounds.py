@@ -29,6 +29,7 @@ from romdom import (
     evaluate,
     exhaustive_corpus,
     from_edges,
+    is_connected,
     path,
     random_corpus,
     report_to_csv,
@@ -386,6 +387,7 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
         "roman_domination_number",
         "two_packing_number",
         "_efficient_sets",
+        "_optimal_ties",
         "enumerate_optimal_rdfs",
     ):
         solve = getattr(bounds, name)
@@ -398,20 +400,30 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
     graphs = exhaustive_corpus(3)
     run_suite(SuiteSpec(graphs=tuple(graphs)))
     # the 11 labeled graphs fall into 7 isomorphism classes: K1, 2K1, K2,
-    # 3K1, K2+K1, P3, K3; with 28 unordered class pairs
-    classes = len({g.canonical_form for g in graphs})
-    pairs = classes * (classes + 1) // 2
-    assert (len(graphs), classes, pairs) == (11, 7, 28)
+    # 3K1, K2+K1, P3, K3; 4 of them connected, with 10 unordered pairs
+    classes = {g.canonical_form for g in graphs}
+    connected = [form for form in classes if is_connected(Graph(len(form), form))]
+    pairs = len(connected) * (len(connected) + 1) // 2
+    assert (len(graphs), len(classes), len(connected), pairs) == (11, 7, 4, 10)
+    # the disconnected classes 2K1, 3K1 and K2+K1 have components K1 and K2,
+    # so their pairs read the 7 unordered component pairs {K1, K2} x {K1, K2,
+    # P3, K3}, each solved once per kind apart from the connected pairs
+    parts = 7
     assert calls == {
-        # one per class, plus one per unordered class pair and product kind
-        "domination_number": classes + 2 * pairs,
-        # ... plus gamma_R(G x K2) for the five regular classes with an
-        # efficient dominating set: K1, 2K1, K2, 3K1, K3
-        "roman_domination_number": classes + 2 * pairs + 5,
-        "two_packing_number": classes,
-        "_efficient_sets": classes,
-        "enumerate_optimal_rdfs": classes,
+        # one per connected class, plus one per connected pair or component
+        # pair and product kind
+        "domination_number": len(connected) + 2 * (pairs + parts),
+        # ... plus gamma_R(G x K2) for the three connected regular classes
+        # with an efficient dominating set, K1, K2 and K3; 2K1 and 3K1 read
+        # the component pair {K1, K2} the Cartesian sweep solved
+        "roman_domination_number": len(connected) + 2 * (pairs + parts) + 3,
+        "two_packing_number": len(connected),
+        "_efficient_sets": len(connected),
+        # the optimal functions come from one collecting run per connected
+        # class, given its memoized gamma_R, never from enumerate_optimal_rdfs
+        "_optimal_ties": len(connected),
     }
+    assert (calls["domination_number"], calls["roman_domination_number"]) == (38, 41)
 
 
 @pytest.mark.skipif(
@@ -419,18 +431,19 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
     reason="workers see the logging wrappers only when forked",
 )
 def test_workers_solve_each_product_once(monkeypatch, tmp_path):
-    # both orientations of a pair go to one task, so summed over workers a
-    # parallel sweep makes the serial sweep's product solves
+    # both orientations of a pair go to one task, so the workers solve the
+    # serial sweep's products; a component pair of K2+K1 is shared across
+    # tasks, so a worker may solve it again, but only it
     spec = SuiteSpec(graphs=tuple(default_corpus()), max_product=12)
     log = tmp_path / "solves.txt"
     _log_solver_calls(monkeypatch, log, products_only=True)
     solves = {}
     for jobs in (1, 2):
         run_suite(spec, jobs=jobs)
-        solves[jobs] = sorted(log.read_text().splitlines())
+        solves[jobs] = log.read_text().splitlines()
         log.unlink()
-    assert solves[1] == solves[2]
-    assert len(solves[1]) > 100
+    assert len(solves[1]) == len(set(solves[1])) > 100
+    assert set(solves[2]) == set(solves[1])
 
 
 # gamma_R(P5 x K4) takes 1,386 nodes and gamma_R(K4 x P5) 576, so at this

@@ -179,6 +179,47 @@ def test_verify_family_needs_the_families_corpus(capsys, corpus):
     assert "--family" in err and f"--corpus {corpus}" in err
 
 
+@pytest.mark.parametrize(
+    "flag, corpus",
+    [
+        ("--max-n", "families"),
+        ("--max-n", "random"),
+        ("--count", "families"),
+        ("--count", "exhaustive"),
+        ("--n-min", "families"),
+        ("--n-min", "exhaustive"),
+        ("--n-max", "families"),
+        ("--n-max", "exhaustive"),
+        ("--seed", "families"),
+        ("--seed", "exhaustive"),
+    ],
+)
+def test_verify_corpus_options_need_their_corpus(capsys, monkeypatch, flag, corpus):
+    def never(*args, **kwargs):
+        raise AssertionError("run_suite reached")
+
+    monkeypatch.setattr("romdom.cli.run_suite", never)
+    code, out, err = run_cli(capsys, "verify", "--corpus", corpus, flag, "3")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} needs --corpus" in err and f"not --corpus {corpus}" in err
+
+
+@pytest.mark.parametrize(
+    "corpus, size", [("families", 15), ("exhaustive", 75), ("random", 20)]
+)
+def test_verify_corpus_options_default_per_corpus(capsys, corpus, size):
+    code, out, _ = run_cli(
+        capsys, "verify", "--corpus", corpus, "--theorems", "L1", "--products", "cartesian"
+    )
+    assert code == 0
+    names = json.loads(out)["corpus"]
+    assert len(names) == size
+    if corpus == "random":
+        # orders cycle through 4..6 from seed 0
+        assert names[:4] == ["R(4,1/2,s0)", "R(5,1/2,s1)", "R(6,1/2,s2)", "R(4,1/2,s3)"]
+
+
 @pytest.mark.parametrize("flag", ["--report", "--csv", "--log"])
 def test_verify_bad_output_path_fails_before_the_sweep(tmp_path, capsys, monkeypatch, flag):
     def never(*args, **kwargs):

@@ -135,6 +135,11 @@ class Env:
 
     The one labeled object a check reads, the gamma_R witness behind
     ``max_b2``'s fallback, is keyed by labeled graph.
+
+    ``ran_out`` is set whenever a BudgetExceeded or CapacityError reaches
+    a place that handles it: a labeled fallback here, or a budget-skipped
+    record in ``_evaluate_env``. An Env that never ran out read class keys
+    only, so every labeling of its class (pair) reads the same values.
     """
 
     def __init__(self, g: Graph, h: Optional[Graph] = None, budget: Optional[int] = None):
@@ -144,6 +149,7 @@ class Env:
         self._memo: dict = {}
         self._sweep: dict = {}
         self._kinds: set = set()  # product kinds an invariant was read on
+        self.ran_out = False
 
     def graph(self, x: str) -> Graph:
         gr = self.g if x == "g" else self.h
@@ -185,6 +191,7 @@ class Env:
         try:
             return _memoized(self._sweep, (name, form), by_class)
         except (BudgetExceeded, CapacityError):
+            self.ran_out = True
             if form == gr.adj:
                 raise
         return _memoized(self._sweep, (name, gr), lambda: solve(gr))
@@ -228,6 +235,7 @@ class Env:
             try:
                 return solver(labeled(), self.budget).value
             except (BudgetExceeded, CapacityError):
+                self.ran_out = True
                 if h != g:
                     with suppress(BudgetExceeded, CapacityError):
                         return solver(product(h, g, kind), self.budget).value
@@ -312,6 +320,7 @@ class Env:
         try:
             return self.optima(x)[0], "enumerated"
         except CapacityError:
+            self.ran_out = True
             gr = self.graph(x)
             fn = self._get(
                 ("gammar_fn", x),
@@ -900,9 +909,11 @@ def _evaluate_env(tid: str, env: Env) -> BoundRecord:
         relation, lhs, rhs = spec.sides(env)
         sec_ok, note = spec.secondary(env) if spec.secondary is not None else (True, None)
     except BudgetExceeded as exc:
+        env.ran_out = True
         where = f"{reason};" if met else "hypothesis check:"
         return skipped("budget-skipped", met, f"{where} {exc}")
     except CapacityError as exc:
+        env.ran_out = True
         return skipped("budget-skipped", met, f"capacity: {exc}")
     holds = _REL[relation](lhs, rhs) and sec_ok
     witnesses = None if holds else env.witness_payload()
@@ -1005,10 +1016,26 @@ class SuiteSpec:
 def _run_item(args, memo: dict) -> list[dict]:
     """One item's records, its Env solving through the solve memo ``memo``.
 
+    Every check is an isomorphism invariant of the item's graph or ordered
+    pair, so an item is evaluated once per ordered class item and its
+    records kept in ``memo``, under its kind (the checks and budget are
+    fixed per kind in a sweep) and the two classes in order; a later
+    labeling gets them with only ``g`` and ``h`` renamed. They are kept only
+    when the Env never ran out (no budget-skipped record, no labeled
+    fallback: see ``Env``) and no record carries witnesses, which are
+    labeled; otherwise each labeling is evaluated on its own.
+
     A check that raises anything but BudgetExceeded or CapacityError (which
     become skipped records, or pass through) is reported as a RomdomError
     naming the check and the item."""
     g, h, ids, budget = args
+    gname, hname, hform = g.name(), None, None
+    if h is not None:
+        hname, hform = h.name(), h.canonical_form
+    key = ("records", THEOREMS[ids[0]].kind, g.canonical_form, hform)
+    rows = memo.get(key)
+    if rows is not None:
+        return [dict(zip(_CSV_COLUMNS, (*row[:2], gname, hname, *row[2:]))) for row in rows]
     env = Env(g, h, budget)
     env._sweep = memo
     records = []
@@ -1019,10 +1046,21 @@ def _run_item(args, memo: dict) -> list[dict]:
         raise
     except Exception as exc:
         kind = THEOREMS[tid].kind or "unary"
-        where = f"g={g.name()}" if h is None else f"g={g.name()} h={h.name()}"
+        where = f"g={gname}" if h is None else f"g={gname} h={hname}"
         raise RomdomError(
             f"{kind} item {where}: check {tid} raised {type(exc).__name__}: {exc}"
         ) from exc
+    if not env.ran_out and not any("witnesses" in rec for rec in records):
+        # a record's values but g and h, each row interned: the report has
+        # few distinct rows. A column holds one type (bool or int, never
+        # both), so equal rows have equal values; True == 1 cannot alias.
+        interned = memo.setdefault("rows", {})
+        stored = []
+        for rec in records:
+            values = tuple(rec.values())
+            row = values[:2] + values[4:]
+            stored.append(interned.setdefault(row, row))
+        memo[key] = tuple(stored)
     return records
 
 
@@ -1060,11 +1098,12 @@ def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[dict]:
     Serially every item runs in report order through one solve memo. With
     ``jobs > 1`` each task runs through its own memo in a process pool, the
     tasks in order of first appearance (ordered ``imap``), and a task's
-    records are kept only until their turn in the report comes. Either way
+    records are yielded when their turn in the report comes. Either way
     each class is solved once per factor invariant and each class pair once
     per kind, while it succeeds (see ``Env``): a solved value depends on
     class keys only and a failure on labeled keys, so the order of the items
-    changes no record.
+    changes no record. While nothing runs out, each ordered class item is
+    evaluated once too (see ``_run_item``).
     """
     if jobs > 1:
         tasks: dict = {}  # task key -> its items, in report order

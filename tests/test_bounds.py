@@ -44,7 +44,7 @@ from romdom import (
     sweep_records,
     write_report,
 )
-from romdom import bounds
+from romdom import bounds, solvers
 
 UNARY_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind is None]
 CART_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind == CARTESIAN]
@@ -384,6 +384,82 @@ def test_sweep_memo_matches_fresh_envs(monkeypatch, tmp_path):
     assert calls[0] == calls[1] and calls[0].count("\n") > len(graphs)
 
 
+def _serial_records(spec):
+    """The records of a serial sweep evaluating every item on its own Env,
+    all through one solve memo, in report order."""
+    memo: dict = {}
+    out = []
+    for _, (g, h, ids, budget) in bounds._items(spec):
+        env = Env(g, h, budget)
+        env._sweep = memo
+        out += [bounds._evaluate_env(tid, env).to_dict() for tid in ids]
+    return out
+
+
+def _mixed_items(spec, records) -> int:
+    """How many ordered class items have labelings with different statuses."""
+    statuses: dict = {}
+    it = iter(records)
+    for _, (g, h, ids, _budget) in bounds._items(spec):
+        key = (THEOREMS[ids[0]].kind, g.canonical_form, None if h is None else h.canonical_form)
+        statuses.setdefault(key, set()).add(tuple(next(it)["status"] for _ in ids))
+    return sum(len(seen) > 1 for seen in statuses.values())
+
+
+def test_reused_records_match_every_labeling_evaluated():
+    spec = SuiteSpec(graphs=tuple(exhaustive_corpus(4)), budget=None)
+    assert list(sweep_records(spec)) == _serial_records(spec)
+
+
+def test_reused_records_match_under_budgets():
+    mixed = 0
+    for budget in (1, 2, 4, 8, 20):
+        spec = SuiteSpec(graphs=tuple(exhaustive_corpus(3)), budget=budget)
+        records = _serial_records(spec)
+        assert list(sweep_records(spec)) == records
+        assert list(sweep_records(spec, jobs=2)) == records
+        mixed += _mixed_items(spec, records)
+    # some labelings of one ordered class pair run out where others do not
+    assert mixed > 0
+
+
+def test_reused_records_match_with_labeled_witnesses(monkeypatch):
+    # over the guard, max_b2 reads the labeled gamma_R witness: its 2-set has
+    # two vertices on P5 labeled in order, one on P5 labeled 1-2-0-3-4
+    monkeypatch.setattr(solvers, "DEFAULT_ENUM_GUARD", 4)
+    relabeled = from_edges(5, [(1, 2), (2, 0), (0, 3), (3, 4)], "P5'")
+    spec = SuiteSpec(graphs=(path(5), relabeled, complete(2)), products=(STRONG,))
+    records = _serial_records(spec)
+    minus = {
+        r["g"]: (r["rhs"], r["note"])
+        for r in records
+        if (r["theorem"], r["h"]) == ("T-strong-minus", "K2")
+    }
+    assert minus == {
+        "P5": (4, "2-set selection g:solver-witness,h:enumerated"),
+        "P5'": (6, "2-set selection g:solver-witness,h:enumerated"),
+        "K2": (2, "2-set selection g:enumerated,h:enumerated"),
+    }
+    assert list(sweep_records(spec)) == records
+
+
+def test_reused_records_match_with_violation_witnesses(monkeypatch):
+    _failing(monkeypatch, "T-lower-ii", CARTESIAN)
+    _failing(monkeypatch, "C-coroloco", STRONG)
+    spec = SuiteSpec(graphs=tuple(exhaustive_corpus(3)))
+    records = _serial_records(spec)
+    assert any("witnesses" in r for r in records)
+    assert list(sweep_records(spec)) == records
+
+
+def test_reused_records_match_on_random_repeats():
+    graphs = tuple(random_corpus(30, 2, 5, 3))
+    assert len({g.canonical_form for g in graphs}) < len({g.adj for g in graphs}) < len(graphs)
+    spec = SuiteSpec(graphs=graphs)
+    assert list(sweep_records(spec)) == _serial_records(spec)
+    assert report_to_json(run_suite(spec, jobs=2)) == report_to_json(run_suite(spec))
+
+
 def test_sweep_memo_solves_each_input_once(monkeypatch):
     calls = {}
     for name in (
@@ -393,6 +469,7 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
         "_efficient_sets",
         "_optimal_ties",
         "enumerate_optimal_rdfs",
+        "_evaluate_env",
     ):
         solve = getattr(bounds, name)
 
@@ -427,7 +504,12 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
         # the optimal functions come from one collecting run per connected
         # class, given its memoized gamma_R, never from enumerate_optimal_rdfs
         "_optimal_ties": len(connected),
+        # each check runs once per ordered class item: 6 unary checks per
+        # class, 19 Cartesian and 8 strong per ordered pair of the 7 classes;
+        # the other labelings reuse those records
+        "_evaluate_env": len(classes) * 6 + len(classes) ** 2 * (19 + 8),
     }
+    assert calls["_evaluate_env"] == 1365
     assert (calls["domination_number"], calls["roman_domination_number"]) == (30, 33)
 
 

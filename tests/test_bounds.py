@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from romdom import (
     CARTESIAN,
     STRONG,
+    BoundRecord,
     BudgetExceeded,
     Env,
     Graph,
@@ -660,9 +661,9 @@ def test_report_to_json_with_witnesses_is_indented_json_dumps(monkeypatch):
     assert report_to_json(report) == _dumps(report)
 
 
-def _streamed(spec) -> str:
+def _streamed(spec, jobs=1) -> str:
     buf = io.StringIO()
-    summary = write_report(buf, spec, sweep_records(spec))
+    summary = write_report(buf, spec, sweep_records(spec, jobs))
     assert summary == json.loads(buf.getvalue())["summary"]
     return buf.getvalue()
 
@@ -689,6 +690,124 @@ def test_streamed_report_without_records_is_indented_json_dumps(spec):
     report = run_suite(spec)
     assert report["records"] == []
     assert _streamed(spec) == _dumps(report)
+
+
+_NAMES = st.text(max_size=3) | st.sampled_from(['a"b\\c', "\u00e9", "\x00\x1f\n", "\u2603\U0001f600"])
+_OPTIONAL_INTS = st.none() | st.integers(-2, 2) | st.integers(min_value=2**64, max_value=2**70)
+
+
+@st.composite
+def _rows(draw) -> BoundRecord:
+    """A record without names: each column drawn from its BoundRecord type,
+    from small domains, so that rows often differ in one column alone."""
+    status = draw(st.sampled_from(["checked", "hypothesis-skipped", "budget-skipped"]))
+    checked = status == "checked"
+    return BoundRecord(
+        theorem=draw(st.sampled_from(["L1", "EQ-chino"]) | st.text(max_size=2)),
+        kind=draw(st.sampled_from(["unary", CARTESIAN, STRONG])),
+        g="",
+        h=None,
+        status=status,
+        hypotheses_met=draw(st.none() | st.booleans()),
+        reason=draw(_NAMES),
+        scale=draw(_OPTIONAL_INTS),
+        lhs=draw(_OPTIONAL_INTS),
+        rhs=draw(_OPTIONAL_INTS),
+        relation=draw(st.none() | st.sampled_from(["<=", ">=", "=="])),
+        holds=draw(st.booleans()) if checked else None,
+        tight=draw(st.booleans()) if checked else None,
+        note=draw(st.none() | _NAMES),
+    )
+
+
+_WITNESSES = st.dictionaries(
+    st.text(max_size=3), st.none() | st.booleans() | st.integers() | _NAMES, max_size=3
+)
+
+
+@st.composite
+def _record_streams(draw) -> list[dict]:
+    """Records reusing a few rows under different names, some with witnesses."""
+    rows = draw(st.lists(_rows(), min_size=1, max_size=4))
+    stream = st.tuples(
+        st.sampled_from(rows), _NAMES, st.none() | _NAMES, st.none() | _WITNESSES
+    )
+    return [
+        dataclasses.replace(row, g=g, h=h, witnesses=witnesses).to_dict()
+        for row, g, h, witnesses in draw(st.lists(stream, max_size=12))
+    ]
+
+
+def _one_column_apart() -> list[dict]:
+    """A checked record, then for each column but g and h a record that
+    differs from it in that column alone, each under its own names, which
+    JSON escapes."""
+    base = BoundRecord("L1", "unary", "", None, "checked", True, "r", 6, 1, 2, "<=", True, False, "n")
+    changed = {
+        "theorem": "L2", "kind": STRONG, "status": "budget-skipped", "hypotheses_met": None,
+        "reason": "s", "scale": 1, "lhs": 2, "rhs": 1, "relation": ">=", "holds": False,
+        "tight": True, "note": None,
+    }
+    records = [dataclasses.replace(base, g="G", h="H").to_dict()]
+    for i, (col, value) in enumerate(changed.items()):
+        h = None if i % 2 else f"\u00e9{i}\x00"
+        rec = dataclasses.replace(base, g=f'a"b\\c{i}', h=h).to_dict()
+        rec[col] = value
+        records.append(rec)
+    return records
+
+
+@given(_record_streams())
+@example(_one_column_apart())
+@settings(max_examples=300, deadline=None)
+def test_streamed_writer_is_indented_json_dumps(records):
+    summary = dict.fromkeys(("checked", "held", "tight", "hypothesis_skipped", "budget_skipped"), 0)
+    for rec in records:
+        if rec["status"] == "checked":
+            summary["checked"] += 1
+            summary["held"] += rec["holds"]
+            summary["tight"] += rec["tight"]
+        else:
+            summary[rec["status"].replace("-", "_")] += 1
+    spec = SuiteSpec(graphs=(path(2),))
+    report = {**bounds._header(spec), "records": records, "summary": summary}
+    buf = io.StringIO()
+    assert write_report(buf, spec, iter(records)) == summary
+    assert buf.getvalue() == _dumps(report)
+
+
+def test_record_columns_hold_one_type_and_names_sort_first():
+    # write_report keys a record's text after its g and h entries by its
+    # other values: that holds while g and h sort first and no column mixes
+    # bool and int (True == 1)
+    assert sorted(bounds._CSV_COLUMNS)[:2] == ["g", "h"]
+    types: dict = {}
+    for budget in (None, 3):
+        for rec in sweep_records(SuiteSpec(graphs=tuple(exhaustive_corpus(3)), budget=budget)):
+            for col, value in rec.items():
+                if value is not None:
+                    types.setdefault(col, set()).add(type(value))
+    assert {col: len(seen) for col, seen in types.items()} == dict.fromkeys(types, 1)
+    assert types["holds"] == {bool} and types["lhs"] == {int}
+
+
+def test_streamed_sweep_with_reuse_and_escaped_labels():
+    # three labelings each of P3 and C4: later ones reuse the first's records
+    graphs = (
+        from_edges(3, [(0, 1), (1, 2)]),
+        from_edges(3, [(1, 0), (0, 2)]),
+        from_edges(3, [(0, 2), (2, 1)], 'a"b\\c'),
+        from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)], "\u00e9"),
+        from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)]),
+    )
+    spec = SuiteSpec(graphs=graphs)
+    report = run_suite(spec)
+    rows = {tuple(v for k, v in rec.items() if k not in ("g", "h")) for rec in report["records"]}
+    assert len(rows) < len(report["records"])  # the writer's row texts are reused
+    assert {'a"b\\c', "\u00e9"} <= {rec["g"] for rec in report["records"]}
+    for jobs in (1, 2):
+        assert _streamed(spec, jobs) == _dumps(report)
 
 
 def test_serial_sweep_yields_before_the_last_item(monkeypatch):

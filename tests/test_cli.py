@@ -314,11 +314,15 @@ def test_verify_csv_is_report_to_csv(tmp_path, capsys):
             "f896d45cc7f4c711514d7c4c1945319f67e44d3c7f7329e1a30898a509bd097a",
         ),
         (
+            ("--corpus", "exhaustive", "--max-n", "4", "--jobs", "2"),
+            "f896d45cc7f4c711514d7c4c1945319f67e44d3c7f7329e1a30898a509bd097a",
+        ),
+        (
             ("--corpus", "families", "--max-product", "48", "--jobs", "2"),
             "73a77d204034d6b692a93bcdaf7de0af7d40609cb8e77091c9a6574bf5bba2b5",
         ),
     ],
-    ids=["exhaustive-jobs1", "families-jobs2"],
+    ids=["exhaustive-jobs1", "exhaustive-jobs2", "families-jobs2"],
 )
 def test_verify_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     # the digests the in-process pins in test_bounds.py hold, through the CLI

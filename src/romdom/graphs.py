@@ -93,6 +93,8 @@ class Graph:
 
     @cached_property
     def _symmetry(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        """Canonical adjacency and automorphism generators, from one
+        ``_individualize_refine`` search per graph object."""
         return _individualize_refine(self.adj)
 
     @property
@@ -101,20 +103,6 @@ class Graph:
         same tuple exactly when they are isomorphic (see ``_individualize_refine``)."""
         return self._symmetry[0]
 
-    @cached_property
-    def vertex_transitive(self) -> bool:
-        """Whether automorphisms carry vertex 0 onto every vertex.
-
-        Computed once per graph object. Vertices that differ in degree,
-        triangle count or number of vertices at distance two settle it at
-        once; otherwise it holds when the orbit of 0 under the automorphism
-        generators of the canonical-form search is all of V, since those
-        generate the whole automorphism group.
-        """
-        if len({_local_invariant(self.adj, v) for v in range(self.n)}) > 1:
-            return False
-        return _orbit(self._symmetry[1], 1) == self.full_mask
-
     def name(self) -> str:
         """Printable descriptor: the label if set, else a graph6 string."""
         if self.label:
@@ -122,17 +110,6 @@ class Graph:
         from .graph6 import write_graph6
 
         return write_graph6(self)
-
-
-def _local_invariant(adj: tuple[int, ...], v: int) -> tuple[int, int, int]:
-    """Degree, twice the triangles through v, and the vertices at distance two."""
-    row = adj[v]
-    wedges = 0
-    reach = 0
-    for u in bits(row):
-        wedges += (adj[u] & row).bit_count()
-        reach |= adj[u]
-    return row.bit_count(), wedges, (reach & ~row & ~(1 << v)).bit_count()
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:

@@ -47,23 +47,32 @@ All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
 search size; running out raises BudgetExceeded rather than returning a guess.
 
-Root symmetry cut. The first root branch of the covering search puts vertex
-0 into S. On a vertex-transitive graph some optimum contains 0, since an
-automorphism maps any member of an optimal S onto 0; for gamma_R the only
-completion with S empty is the incumbent, in place before the search
-starts. So once that branch returns the optimum is reached, and the root
-may return after it or after any later branch, skipping the rest (for
-gamma_R also the "0 is charged miss" branch). Witnesses do not change: the
-incumbent is replaced only on a strict improvement, so it is still the first
-optimum in search order. Detecting transitivity (``Graph.vertex_transitive``,
-computed once per graph) costs more than a small search saves, so it is
-consulted only when a root branch returns and the search has spent at least
-n^2 nodes.
+Orbit cut. Let a node have 2-set S and refused set E. The automorphism
+generators whose support (the vertices they move) misses S and E generate a
+group that fixes S and E; it also preserves the charged misses, a function
+of S and E, and so the cost. Each time a candidate's branch returns, the
+node closes the tried candidates under those generators and skips every
+later candidate in that orbit, refusing it to the later siblings and the
+miss branch as before. That is sound: if such an automorphism maps the
+skipped u_k onto an earlier candidate u_j, it maps every completion of
+branch k onto a completion of branches 1..j at the same cost, so, by
+induction over the skipped siblings, branch k cannot strictly improve the
+incumbent. At the root (S and E empty) the search also returns once the
+orbit is all of V: every completion but S = empty then maps into a finished
+branch, and for gamma_R that one is the incumbent in place before the search
+starts, so the miss branch is skipped too. On a vertex-transitive graph the
+root thus returns after its first branch to return once the generators are
+loaded. Witnesses do not change: the incumbent is replaced only on a strict
+improvement, so it is still the first optimum in search order. The
+generators (from the canonical-form search, cached per graph, with the
+support of each) cost more than a small search saves, so they are loaded
+only once the search has spent n^2 nodes; a node picks its own from them
+when its first candidate returns after that.
 
 Optimal ties. Given the optimum, the search lists every optimal S instead
 (``enumerate_optimal_rdfs``): best stays at the optimum plus one, every
-leaf is kept, and the root symmetry cut, sound only when one optimum is
-wanted, is skipped. A leaf charges exactly V minus N[S]. Each optimal S is
+leaf is kept, and the orbit cut, sound only when one optimum is wanted,
+is skipped. A leaf charges exactly V minus N[S]. Each optimal S is
 reached exactly once. Its branch is fixed at every node: the miss branch
 when v lies outside N[S], else the pick of the lowest member of S in N[v]
 (earlier siblings pick non-members, later ones refuse it, the miss branch
@@ -81,7 +90,7 @@ from typing import Iterator, Optional
 
 from .config import DEFAULT_ENUM_GUARD
 from .errors import BudgetExceeded, CapacityError, ParameterError
-from .graphs import Graph, bits, mask_of, square
+from .graphs import Graph, _orbit, bits, mask_of, square
 
 
 @dataclass(frozen=True)
@@ -137,16 +146,6 @@ class _Counter:
         self.limit = limit
 
 
-def _root_cut(g: Graph, ctr: _Counter) -> bool:
-    """Whether the root may skip its remaining branches (the root symmetry
-    cut in the module docstring).
-
-    Called only at the root, after one of its branches returns, so every
-    node counted but the root lies in a finished branch.
-    """
-    return ctr.nodes - 1 >= g.n * g.n and g.vertex_transitive
-
-
 def _cover_search(
     g: Graph, budget: Optional[int], pick: int, miss: Optional[int], optimum: Optional[int] = None
 ) -> tuple[int, list[tuple[int, int]], int]:
@@ -168,9 +167,12 @@ def _cover_search(
     else:
         best = optimum + 1
         leaves = []
+    # automorphism generators with the vertices each moves, loaded for the
+    # orbit cut once the search has spent n^2 nodes
+    gens: Optional[list[tuple[list[int], int]]] = None
 
     def dfs(smask: int, covered: int, ones: int, excluded: int, cost: int) -> None:
-        nonlocal best
+        nonlocal best, gens
         ctr.nodes += 1
         if ctr.limit is not None and ctr.nodes > ctr.limit:
             raise BudgetExceeded(ctr.nodes)
@@ -235,12 +237,24 @@ def _cover_search(
         if not cands:
             return
         ex = excluded
+        stab = None  # the generators fixing smask | excluded, once loaded
+        tried = 0  # the orbit of the tried candidates under stab
         while cands:
             lsb = cands & -cands
             cands ^= lsb
-            dfs(smask | lsb, covered | adjc[lsb.bit_length() - 1], ones, ex, cost + pick)
-            if not (smask | excluded) and optimum is None and _root_cut(g, ctr):
-                return
+            if not tried & lsb:
+                dfs(smask | lsb, covered | adjc[lsb.bit_length() - 1], ones, ex, cost + pick)
+                if gens is None and optimum is None and ctr.nodes > n * n:
+                    gens = [(p, mask_of(w for w in range(n) if p[w] != w))
+                            for p in g._symmetry[1]]
+                if gens is not None:
+                    fixed = smask | excluded
+                    if stab is None:
+                        stab = [p for p, moved in gens if not moved & fixed]
+                    new = (ex | lsb) & ~excluded & ~tried
+                    tried |= _orbit(stab, new) if stab else new
+                    if not fixed and tried == full:
+                        return
             ex |= lsb
         if miss is not None:
             # no allowed neighbor of v ever joins S: v is charged miss

@@ -2,10 +2,12 @@
 
 Everything here works from (n, edge list) and imports nothing from the
 package. Most oracles use plain sets and itertools, deliberately sharing no
-representation with the package's bitmask solvers; ``brute_covers``, the one
+representation with the package's bitmask solvers; ``brute_covers``, a
 search sized for 64 vertices, and ``brute_optimal_rdfs_subsets``, a table
 over all 2^n sets, keep their sets as ints built from the edge list itself.
-Exponential in n; callers keep instances small.
+Exponential in n; callers keep instances small. ``brute_orbits``, a
+backtracking search, is exponential only in the worst case and also runs on
+the symmetric products of up to 64 vertices that the tests use.
 """
 
 from __future__ import annotations
@@ -155,20 +157,66 @@ def all_labeled_graphs(max_n: int):
                 yield n, list(edges)
 
 
-def brute_vertex_transitive(n: int, edges) -> bool:
-    """Whether edge-preserving permutations send vertex 0 to every vertex.
+def brute_orbits(n: int, edges) -> list[set[int]]:
+    """The orbit of each vertex under the automorphism group.
 
-    Tries all n! permutations; a bijection that maps every edge onto an edge
-    is an automorphism, since it cannot gain edges.
+    v is in the orbit of u when some automorphism maps u to v. A
+    backtracking search looks for one: it maps u to v, then extends the map
+    one vertex at a time in breadth-first order from u, each component in
+    turn, trying every unused image of the same degree that keeps adjacency
+    and non-adjacency with every vertex mapped so far. A complete map is
+    then a bijection that preserves both, that is, an automorphism. Orbits
+    partition the vertices, so each vertex is tried only against the
+    smallest vertex of each orbit found before it.
     """
-    edge_set = {frozenset(e) for e in edges}
-    images = set()
-    for perm in itertools.permutations(range(n)):
-        if perm[0] not in images and all(
-            frozenset((perm[u], perm[v])) in edge_set for u, v in edge_set
-        ):
-            images.add(perm[0])
-    return len(images) == n
+    nbrs = _neighbors(n, edges)
+
+    def bfs_order(root: int) -> list[int]:
+        order, seen = [], set()
+        for start in [root] + list(range(n)):
+            if start in seen:
+                continue
+            seen.add(start)
+            queue = deque([start])
+            while queue:
+                w = queue.popleft()
+                order.append(w)
+                for x in sorted(nbrs[w] - seen):
+                    seen.add(x)
+                    queue.append(x)
+        return order
+
+    def extend(order: list[int], image: dict[int, int], used: set[int]) -> bool:
+        if len(image) == n:
+            return True
+        w = order[len(image)]
+        mapped = [x for x in nbrs[w] if x in image]
+        pool = nbrs[image[mapped[0]]] if mapped else set(range(n))
+        for c in sorted(pool - used):
+            if len(nbrs[c]) == len(nbrs[w]) and all(
+                (y in nbrs[w]) == (image[y] in nbrs[c]) for y in image
+            ):
+                image[w] = c
+                used.add(c)
+                if extend(order, image, used):
+                    return True
+                del image[w]
+                used.discard(c)
+        return False
+
+    orbits: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        if orbits[u]:
+            continue
+        order = bfs_order(u)
+        orbit = {u} | {
+            v
+            for v in range(u + 1, n)
+            if not orbits[v] and len(nbrs[v]) == len(nbrs[u]) and extend(order, {u: v}, {v})
+        }
+        for v in orbit:
+            orbits[v] = orbit
+    return orbits
 
 
 def brute_canonical_form(n: int, edges) -> tuple[int, tuple[tuple[int, int], ...]]:

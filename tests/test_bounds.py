@@ -34,6 +34,7 @@ from romdom import (
     from_edges,
     is_connected,
     path,
+    product,
     random_corpus,
     report_to_csv,
     report_to_json,
@@ -534,14 +535,17 @@ def test_workers_solve_each_product_once(monkeypatch, tmp_path):
     assert set(solves[2]) == set(solves[1])
 
 
-# gamma_R(P5 x K4) takes 1,386 nodes and gamma_R(K4 x P5) 576, so at this
-# budget only K4 x P5 fits
-ORIENTED_BUDGET = 1000
+# gamma_R(P5 x K4) takes 677 nodes and gamma_R(K4 x P5) 460, so at this
+# budget only K4 x P5 fits; the test checks that premise first
+ORIENTED_BUDGET = 600
 
 
 @pytest.mark.parametrize("order", [(path(5), complete(4)), (complete(4), path(5))],
                          ids=["P5-first", "K4-first"])
 def test_budget_failure_is_not_shared_across_orientations(monkeypatch, order):
+    p5_k4, k4_p5 = (solvers.roman_domination_number(product(g, h, CARTESIAN)).node_count
+                    for g, h in ((path(5), complete(4)), (complete(4), path(5))))
+    assert k4_p5 <= ORIENTED_BUDGET < p5_k4
     solved = []
     solve = bounds.roman_domination_number
 

@@ -31,7 +31,9 @@ from romdom import (
     star,
 )
 
-from bruteforce import all_labeled_graphs, brute_canonical_form, brute_vertex_transitive
+from romdom.graphs import _orbit
+
+from bruteforce import all_labeled_graphs, brute_canonical_form, brute_orbits
 
 
 def test_from_edges_basic():
@@ -158,10 +160,20 @@ def test_name_falls_back_to_graph6():
     assert path(4).name() == "P4"
 
 
-def test_vertex_transitive_matches_oracle():
+def _generator_orbits(g: Graph) -> list[int]:
+    """The orbit of each vertex under the automorphism generators, after
+    checking that each generator is an automorphism."""
+    edges = {frozenset(e) for e in g.edges()}
+    for p in g._symmetry[1]:
+        assert sorted(p) == list(range(g.n))
+        assert {frozenset((p[u], p[v])) for u, v in edges} == edges
+    return [_orbit(g._symmetry[1], 1 << v) for v in range(g.n)]
+
+
+def test_generator_orbits_match_oracle():
     for n, edges in all_labeled_graphs(5):
         g = from_edges(n, edges)
-        assert g.vertex_transitive == brute_vertex_transitive(n, edges), edges
+        assert _generator_orbits(g) == [mask_of(o) for o in brute_orbits(n, edges)], edges
 
 
 def _frucht() -> Graph:
@@ -183,7 +195,9 @@ def _frucht() -> Graph:
     ids=lambda g: g.name(),
 )
 def test_transitive_products(g):
-    assert g.vertex_transitive
+    orbits = _generator_orbits(g)
+    assert orbits == [mask_of(o) for o in brute_orbits(g.n, g.edges())]
+    assert orbits == [g.full_mask] * g.n
 
 
 @pytest.mark.parametrize(
@@ -193,7 +207,8 @@ def test_transitive_products(g):
         product(star(3), star(3), CARTESIAN),
         # regular, but only the C3 vertices lie on a triangle
         from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)], "C3+C4"),
-        # regular with equal local invariants: only the search tells them apart
+        # regular, triangle-free, two vertices at distance two from each: only
+        # the search tells them apart
         from_edges(11, [(v, (v + 1) % 5) for v in range(5)]
                    + [(5 + v, 5 + (v + 1) % 6) for v in range(6)], "C5+C6"),
         _frucht(),
@@ -201,7 +216,9 @@ def test_transitive_products(g):
     ids=lambda g: g.name(),
 )
 def test_intransitive_graphs(g):
-    assert not g.vertex_transitive
+    orbits = _generator_orbits(g)
+    assert orbits == [mask_of(o) for o in brute_orbits(g.n, g.edges())]
+    assert orbits != [g.full_mask] * g.n
 
 
 @pytest.mark.parametrize("g", [complete(64), from_edges(64, [], "64K1")], ids=lambda g: g.name())
@@ -213,7 +230,7 @@ def test_vertex_transitive_closes_the_orbit_in_one_search(monkeypatch, g):
     calls = []
     refine = graphs._refine
     monkeypatch.setattr(graphs, "_refine", lambda *args: calls.append(1) or refine(*args))
-    assert g.vertex_transitive
+    assert _generator_orbits(g) == [g.full_mask] * g.n
     assert len(calls) == 1
 
 
@@ -296,7 +313,7 @@ def _shrikhande() -> Graph:
 def test_canonical_form_separates_lookalikes():
     # both strongly regular with parameters (16, 6, 2, 2), both transitive
     shrikhande, rook = _shrikhande(), product(complete(4), complete(4), CARTESIAN)
-    assert shrikhande.vertex_transitive and rook.vertex_transitive
+    assert _generator_orbits(shrikhande) == _generator_orbits(rook) == [(1 << 16) - 1] * 16
     assert shrikhande.degrees() == rook.degrees()
     assert shrikhande.canonical_form != rook.canonical_form
     two_triangles = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "2C3")

@@ -7,6 +7,7 @@ bug, not a test artifact.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from romdom import (
     CARTESIAN,
+    PRODUCT_KINDS,
     BudgetExceeded,
     ParameterError,
     RomanFunction,
     bits,
     complete,
     cycle,
+    default_corpus,
     domination_number,
     efficient_dominating_sets,
     enumerate_optimal_rdfs,
@@ -36,6 +39,7 @@ from romdom import (
     two_packing_number,
     validate_rdf,
 )
+from romdom.graphs import _orbit
 
 from bruteforce import (
     all_labeled_graphs,
@@ -251,30 +255,32 @@ def test_node_counts_are_reported():
     assert res_r.node_count >= 1
 
 
-# Values and witnesses from before the root symmetry cut, and the exact node
-# counts the covering search takes with it and the packing bound, so that any
-# change to its branching, bounds or cut shows up here. P4xC5 is not
-# transitive: no cut.
-ROOT_CUT_CASES = [
-    (cycle(6), cycle(7), True, 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 2222,
-     20, "220200000000200020000200020200200000000020", 5484),
-    (hypercube(3), cycle(5), True, 8, [0, 2, 5, 18, 28, 31, 34, 36], 1475,
-     16, "2020020000000000002000000000200200202000", 1774),
-    (path(4), cycle(5), False, 6, [0, 1, 2, 13, 14, 16], 203,
+# Values and witnesses from before any symmetry cut, and the exact node counts
+# the covering search takes with the orbit cut and the packing bound, so that
+# any change to its branching, bounds or cut shows up here. P4xC5 stops
+# before the n^2 nodes that load the generators; P5xQ3 is not transitive and
+# has 96 automorphisms.
+ORBIT_CUT_CASES = [
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 2122,
+     20, "220200000000200020000200020200200000000020", 4748),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 1475,
+     16, "2020020000000000002000000000200200202000", 1687),
+    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 203,
      10, "20010002000000202010", 212),
+    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 10699,
+     18, "2200000000000022200000000002020020000020", 27864),
 ]
 
 
 @pytest.mark.parametrize(
-    "g, h, transitive, gamma, witness, nodes, gamma_r, labels, nodes_r",
-    ROOT_CUT_CASES,
-    ids=["C6xC7", "Q3xC5", "P4xC5"],
+    "g, h, gamma, witness, nodes, gamma_r, labels, nodes_r",
+    ORBIT_CUT_CASES,
+    ids=["C6xC7", "Q3xC5", "P4xC5", "P5xQ3"],
 )
-def test_root_cut_keeps_values_and_witnesses(
-    g, h, transitive, gamma, witness, nodes, gamma_r, labels, nodes_r
+def test_orbit_cut_keeps_values_and_witnesses(
+    g, h, gamma, witness, nodes, gamma_r, labels, nodes_r
 ):
     prod = product(g, h, CARTESIAN)
-    assert prod.vertex_transitive == transitive
     res = domination_number(prod)
     assert (res.value, sorted(bits(res.witness)), res.node_count) == (gamma, witness, nodes)
     res_r = roman_domination_number(prod)
@@ -282,21 +288,41 @@ def test_root_cut_keeps_values_and_witnesses(
     assert got == (gamma_r, labels, nodes_r)
 
 
-def test_root_cut_on_k4_c11():
-    # 379,267 nodes with neither the cut nor the packing bound, 96,004 with
-    # the cut alone
+def test_orbit_cut_on_k4_c11():
+    # 379,267 nodes with neither a symmetry cut nor the packing bound, 76,815
+    # with the packing bound and a cut at the root alone
     res = domination_number(product(complete(4), cycle(11), CARTESIAN))
-    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 76815)
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 15674)
 
 
 def test_root_cut_needs_transitivity():
-    # C6xC7 with a pendant vertex 0 hung on vertex 1: not transitive, and its
-    # first root branch, which takes the pendant, spends over n^2 nodes
-    # without reaching the optimum. Some minimum dominating set of C6xC7
-    # holds the hub, and some optimal Roman function labels it 2, so both
-    # values stay C6xC7's.
+    # C6xC7 with a pendant vertex 0 hung on vertex 1: the orbit of 0 is not
+    # all of V, and its first root branch, which takes the pendant, spends
+    # over n^2 nodes without reaching the optimum. Some minimum dominating set
+    # of C6xC7 holds the hub, and some optimal Roman function labels it 2, so
+    # both values stay C6xC7's.
     g = product(cycle(6), cycle(7), CARTESIAN)
     h = from_edges(g.n + 1, [(u + 1, v + 1) for u, v in g.edges()] + [(0, 1)])
-    assert not h.vertex_transitive
+    assert _orbit(h._symmetry[1], 1) != h.full_mask
     assert domination_number(h).value == 10
     assert roman_domination_number(h).value == 20
+
+
+def test_default_corpus_products_keep_values_and_witnesses():
+    # gamma, its witness, gamma_R and its labels on all 448 products of the
+    # default corpus with at most 48 vertices, both kinds, as computed before
+    # the orbit cut
+    digest = hashlib.sha256()
+    corpus = default_corpus()
+    for kind in PRODUCT_KINDS:
+        for g in corpus:
+            for h in corpus:
+                if g.n * h.n > 48:
+                    continue
+                prod = product(g, h, kind)
+                res = domination_number(prod)
+                res_r = roman_domination_number(prod)
+                labels = "".join(map(str, res_r.witness.labels))
+                line = f"{prod.name()} {res.value} {res.witness} {res_r.value} {labels}\n"
+                digest.update(line.encode())
+    assert digest.hexdigest() == "00d5bb6f8c72dc7216d63fbb3b13294fe355ae9cdaa9b9dcc6318f8b2fdc02da"

@@ -23,13 +23,12 @@ from __future__ import annotations
 import collections
 import csv
 import functools
-import io
 import json
 import multiprocessing
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .config import DEFAULT_SUITE_BUDGET
 from .constructions import case_table_labels, validate_rdf
@@ -854,8 +853,10 @@ def resolve_theorem_ids(tokens: list[str]) -> list[str]:
 # evaluation
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
+    """One check on one instance, as ``evaluate`` and ``sweep_records`` give
+    it and every writer takes it; ``run_suite`` returns its ``to_dict``."""
+
     theorem: str
     kind: str
     g: str
@@ -874,15 +875,19 @@ class BoundRecord:
 
     def to_dict(self) -> dict:
         """The record as a report dict: a skipped record stops at ``reason``."""
-        columns = _CSV_COLUMNS if self.status == "checked" else _CSV_COLUMNS[:7]
-        out = {col: getattr(self, col) for col in columns}
+        out = dict(zip(_CSV_COLUMNS, self if self.status == "checked" else self[:7]))
         if self.witnesses is not None:
             out["witnesses"] = self.witnesses
         return out
 
 
 # every record field but the witnesses, in field order
-_CSV_COLUMNS = tuple(f.name for f in fields(BoundRecord) if f.name != "witnesses")
+_CSV_COLUMNS = BoundRecord._fields[:-1]
+
+
+def _row(rec: BoundRecord) -> tuple:
+    """A record's values but its names ``g`` and ``h``."""
+    return rec[:2] + rec[4:]
 
 
 _REL = {
@@ -1013,15 +1018,15 @@ class SuiteSpec:
     max_product: Optional[int] = None
 
 
-def _run_item(args, memo: dict) -> list[dict]:
+def _run_item(args, memo: dict) -> list[BoundRecord]:
     """One item's records, its Env solving through the solve memo ``memo``.
 
     Every check is an isomorphism invariant of the item's graph or ordered
     pair, so an item is evaluated once per ordered class item and its
-    records kept in ``memo``, under its kind (the checks and budget are
-    fixed per kind in a sweep) and the two classes in order; a later
-    labeling gets them with only ``g`` and ``h`` renamed. They are kept only
-    when the Env never ran out (no budget-skipped record, no labeled
+    records' rows (``_row``) kept in ``memo``, under its kind (the checks and
+    budget are fixed per kind in a sweep) and the two classes in order; a
+    later labeling gets them with only ``g`` and ``h`` renamed. They are kept
+    only when the Env never ran out (no budget-skipped record, no labeled
     fallback: see ``Env``) and no record carries witnesses, which are
     labeled; otherwise each labeling is evaluated on its own.
 
@@ -1035,13 +1040,13 @@ def _run_item(args, memo: dict) -> list[dict]:
     key = ("records", THEOREMS[ids[0]].kind, g.canonical_form, hform)
     rows = memo.get(key)
     if rows is not None:
-        return [dict(zip(_CSV_COLUMNS, (*row[:2], gname, hname, *row[2:]))) for row in rows]
+        return [BoundRecord(*row[:2], gname, hname, *row[2:]) for row in rows]
     env = Env(g, h, budget)
     env._sweep = memo
     records = []
     try:
         for tid in ids:
-            records.append(_evaluate_env(tid, env).to_dict())
+            records.append(_evaluate_env(tid, env))
     except (BudgetExceeded, CapacityError):
         raise
     except Exception as exc:
@@ -1050,21 +1055,16 @@ def _run_item(args, memo: dict) -> list[dict]:
         raise RomdomError(
             f"{kind} item {where}: check {tid} raised {type(exc).__name__}: {exc}"
         ) from exc
-    if not env.ran_out and not any("witnesses" in rec for rec in records):
-        # a record's values but g and h, each row interned: the report has
-        # few distinct rows. A column holds one type (bool or int, never
-        # both), so equal rows have equal values; True == 1 cannot alias.
+    if not env.ran_out and all(rec.witnesses is None for rec in records):
+        # each row interned: the report has few distinct rows. A column
+        # holds one type (bool or int, never both), so equal rows have equal
+        # values; True == 1 cannot alias.
         interned = memo.setdefault("rows", {})
-        stored = []
-        for rec in records:
-            values = tuple(rec.values())
-            row = values[:2] + values[4:]
-            stored.append(interned.setdefault(row, row))
-        memo[key] = tuple(stored)
+        memo[key] = tuple(interned.setdefault(row, row) for row in map(_row, records))
     return records
 
 
-def _run_task(items) -> list[list[dict]]:
+def _run_task(items) -> list[list[BoundRecord]]:
     """Each item's records, all through one fresh solve memo."""
     memo: dict = {}
     return [_run_item(item, memo) for item in items]
@@ -1091,9 +1091,9 @@ def _items(spec: SuiteSpec) -> Iterator[tuple]:
                 yield (kind, classes), (g, h, ids, spec.budget)
 
 
-def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[dict]:
-    """The records of ``run_suite(spec, jobs)``, yielded in report order as
-    they are evaluated.
+def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[BoundRecord]:
+    """The records of ``run_suite(spec, jobs)`` as ``BoundRecord``s, yielded
+    in report order as they are evaluated.
 
     Serially every item runs in report order through one solve memo. With
     ``jobs > 1`` each task runs through its own memo in a process pool, the
@@ -1117,7 +1117,7 @@ def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[dict]:
         yield from _run_item(item, memo)
 
 
-def _pooled_records(spec: SuiteSpec, tasks: dict, jobs: int) -> Iterator[dict]:
+def _pooled_records(spec: SuiteSpec, tasks: dict, jobs: int) -> Iterator[BoundRecord]:
     """The records of ``tasks`` run in a pool of ``jobs`` workers, in report order."""
     with multiprocessing.Pool(jobs) as pool:
         done = pool.imap(_run_task, tasks.values(), chunksize=1)
@@ -1141,10 +1141,11 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
     order and registry order. The report never contains timestamps, and its
     bytes do not depend on ``jobs``. The records come from
     ``sweep_records``: a serial sweep evaluates the items in report order,
-    ``jobs > 1`` by task in a process pool.
+    ``jobs > 1`` by task in a process pool. It is the only function that
+    returns records as dicts (``BoundRecord.to_dict``).
     """
     summary = _summary()
-    records = [_tally(summary, rec) for rec in sweep_records(spec, jobs)]
+    records = [_tally(summary, rec).to_dict() for rec in sweep_records(spec, jobs)]
     return {**_header(spec), "records": records, "summary": summary}
 
 
@@ -1165,13 +1166,13 @@ def _summary() -> dict:
     return dict.fromkeys(("checked", "held", "tight", "hypothesis_skipped", "budget_skipped"), 0)
 
 
-def _tally(summary: dict, rec: dict) -> dict:
+def _tally(summary: dict, rec: BoundRecord) -> BoundRecord:
     """Count ``rec`` into ``summary``; return it."""
-    status = rec["status"]
+    status = rec.status
     if status == "checked":
         summary["checked"] += 1
-        summary["held"] += rec["holds"]
-        summary["tight"] += rec["tight"]
+        summary["held"] += rec.holds
+        summary["tight"] += rec.tight
     else:  # hypothesis-skipped | budget-skipped
         summary[status.replace("-", "_")] += 1
     return rec
@@ -1181,7 +1182,7 @@ def suite_ok(report: dict) -> bool:
     return report["summary"]["held"] == report["summary"]["checked"]
 
 
-def write_report(fh, spec: SuiteSpec, records: Iterable[dict]) -> dict:
+def write_report(fh, spec: SuiteSpec, records: Iterable[BoundRecord]) -> dict:
     """Write the report of ``spec`` with ``records`` to ``fh`` as the records
     arrive, the same bytes as ``report_to_json`` of the whole report; return
     its summary.
@@ -1191,53 +1192,48 @@ def write_report(fh, spec: SuiteSpec, records: Iterable[dict]) -> dict:
     counted on the way, last.
 
     A record without witnesses is written as its ``g`` and ``h`` entries
-    plus the text of its row (its values but ``g`` and ``h``, in
-    ``BoundRecord`` order as ``sweep_records`` yields them) after those,
-    which the C encoder makes once per row: the exhaustive sweep's 152,325
-    records have 747 rows. ``g`` and ``h`` sort before every other column,
-    so that text does not depend on the names; a column holds one type
-    (bool or int, never both), so ``True == 1`` cannot alias two rows.
+    plus the text of its row (``_row``) after those, which the C encoder
+    makes once per row: the exhaustive sweep's 152,325 records have 747
+    rows. ``g`` and ``h`` sort before every other column, so that text does
+    not depend on the names; a column holds one type (bool or int, never
+    both), so ``True == 1`` cannot alias two rows.
     """
     header = _header(spec)
     summary = _summary()
-    fh.write('{\n  "corpus": ' + _encoded(header["corpus"], 1) + ',\n  "records": ')
+    fh.write('{\n  "corpus": ' + _indented(header["corpus"], 1) + ',\n  "records": ')
     sep = "[\n    "
     tails: dict = {}  # a row -> its text after the "h" entry
     for rec in records:
         _tally(summary, rec)
-        if "witnesses" in rec:
-            fh.write(sep + _encoded(rec, 2))
+        if rec.witnesses is not None:
+            fh.write(sep + _indented(rec.to_dict(), 2))
         else:
-            h = "null" if rec["h"] is None else encode_basestring_ascii(rec["h"])
-            head = f'{{\n      "g": {encode_basestring_ascii(rec["g"])},\n      "h": {h}'
-            values = tuple(rec.values())
-            row = values[:2] + values[4:]
+            h = "null" if rec.h is None else encode_basestring_ascii(rec.h)
+            head = f'{{\n      "g": {encode_basestring_ascii(rec.g)},\n      "h": {h}'
+            row = _row(rec)
             tail = tails.get(row)
             if tail is None:
-                tail = tails[row] = _flat(rec, 2)[len(head):]
+                tail = tails[row] = _flat(rec.to_dict(), 2)[len(head):]
             fh.write(sep + head + tail)
         sep = ",\n    "
     fh.write("[]" if sep.startswith("[") else "\n  ]")
     fh.write(
-        ',\n  "suite": ' + _encoded(header["suite"], 1)
-        + ',\n  "summary": ' + _encoded(summary, 1) + "\n}\n"
+        ',\n  "suite": ' + _indented(header["suite"], 1)
+        + ',\n  "summary": ' + _indented(summary, 1) + "\n}\n"
     )
     return summary
 
 
 def report_to_json(report: dict) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for byte.
-
-    ``indent`` sends ``json.dumps`` to the standard library's pure-Python
-    encoder, which on a large report is slow and builds millions of small
-    chunks. Here each container whose values are all scalars (every record)
-    is one call of the C encoder, whose item separator carries the newline
-    and indentation; only the containers above those are walked in Python.
-    """
-    return _encoded(report, 0) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
+    return _indented(report, 0) + "\n"
 
 
-_CONTAINERS = (dict, list, tuple)
+def _indented(value, depth: int) -> str:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at
+    nesting ``depth``. JSON escapes every newline inside a string, so each
+    newline is a line break of the layout."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 @functools.cache
@@ -1248,66 +1244,20 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
 
 
 def _flat(value, depth: int) -> str:
-    """A non-empty container of scalars at nesting ``depth``, as one string."""
+    """A non-empty container of scalars at nesting ``depth``, as one string
+    from one call of the C encoder (``json.dumps`` with ``indent`` runs the
+    pure-Python one)."""
     text = _flat_encoder(depth).encode(value)
     return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
 
 
-def _encoded(value, depth: int) -> str:
-    out: list[str] = []
-    _encode(value, depth, out)
-    return "".join(out)
-
-
-def _encode(value, depth: int, out: list[str]) -> None:
-    """Append the chunks of ``value`` at nesting ``depth`` to ``out``."""
-    if not isinstance(value, _CONTAINERS):
-        out.append(_flat_encoder(depth).encode(value))
-        return
-    is_dict = isinstance(value, dict)
-    if not value:
-        out.append("{}" if is_dict else "[]")
-        return
-    items = value.values() if is_dict else value
-    if not any(isinstance(v, _CONTAINERS) for v in items):
-        # one chunk, not five: on a report of small records the chunks' own
-        # overhead would otherwise rival the text's size in memory
-        out.append(_flat(value, depth))
-        return
-    inner = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth
-    out.append("{" if is_dict else "[")
-    sep, comma = inner, "," + inner
-    if is_dict:
-        for key in sorted(value):
-            out += (sep, encode_basestring_ascii(key), ": ")
-            _encode(value[key], depth + 1, out)
-            sep = comma
-    else:
-        for item in value:
-            out.append(sep)
-            _encode(item, depth + 1, out)
-            sep = comma
-    out += (close, "}" if is_dict else "]")
-
-
-def csv_writer(fh) -> Callable[[dict], None]:
+def csv_writer(fh) -> Callable[[BoundRecord], None]:
     """Write the CSV header to ``fh``; return a function that writes one
-    record's row: every field but the witnesses, None as empty."""
+    record's row: every field but the witnesses, None as empty (as
+    ``csv.writer`` writes it)."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    return lambda rec: writer.writerow(
-        ["" if rec.get(col) is None else rec.get(col) for col in _CSV_COLUMNS]
-    )
-
-
-def report_to_csv(report: dict) -> str:
-    """One row per record, witnesses omitted."""
-    buf = io.StringIO()
-    write_row = csv_writer(buf)
-    for rec in report["records"]:
-        write_row(rec)
-    return buf.getvalue()
+    return lambda rec: writer.writerow(rec[:-1])
 
 
 # ---------------------------------------------------------------------------

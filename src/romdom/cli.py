@@ -232,7 +232,7 @@ def _also_written(records, csv_fh, log_fh, ts: str):
         if write_row is not None:
             write_row(rec)
         if log_fh is not None:
-            log_fh.write(json.dumps({"ts": ts, "record": rec}, sort_keys=True) + "\n")
+            log_fh.write(json.dumps({"ts": ts, "record": rec.to_dict()}, sort_keys=True) + "\n")
         yield rec
 
 
@@ -242,10 +242,12 @@ def _cmd_verify(args) -> int:
         if args.theorems
         else THEOREM_ORDER
     )
-    products = tuple(args.products.split(","))
-    for kind in products:
+    requested = args.products.split(",")
+    for kind in requested:
         if kind not in PRODUCT_KINDS:
             raise ParameterError(f"unknown product kind {kind!r}")
+    # like the theorems: each kind once, in PRODUCT_KINDS order
+    products = tuple(kind for kind in PRODUCT_KINDS if kind in requested)
     spec = SuiteSpec(
         graphs=tuple(_verify_corpus(args)),
         theorems=theorems,

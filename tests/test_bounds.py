@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -36,7 +37,6 @@ from romdom import (
     path,
     product,
     random_corpus,
-    report_to_csv,
     report_to_json,
     resolve_theorem_ids,
     run_suite,
@@ -283,10 +283,20 @@ def test_report_json_is_canonical():
 def test_report_csv_projection():
     spec = SuiteSpec(graphs=(path(3), cycle(4)), theorems=("L1-sandwich", "L2-B2"), products=())
     report = run_suite(spec)
-    lines = report_to_csv(report).splitlines()
+    buf = io.StringIO()
+    write_row = bounds.csv_writer(buf)
+    for rec in sweep_records(spec):
+        write_row(rec)
+    lines = buf.getvalue().splitlines()
     assert lines[0].startswith("theorem,kind,g,h,status")
     assert len(lines) == 1 + len(report["records"])
     assert "witness" not in lines[0]
+    # each row is its record's report values, a missing or None value empty
+    header, *rows = csv.reader(lines)
+    assert rows == [
+        ["" if rec.get(col) is None else str(rec[col]) for col in header]
+        for rec in report["records"]
+    ]
 
 
 def test_premise_check_values():
@@ -394,7 +404,7 @@ def _serial_records(spec):
     for _, (g, h, ids, budget) in bounds._items(spec):
         env = Env(g, h, budget)
         env._sweep = memo
-        out += [bounds._evaluate_env(tid, env).to_dict() for tid in ids]
+        out += [bounds._evaluate_env(tid, env) for tid in ids]
     return out
 
 
@@ -404,7 +414,7 @@ def _mixed_items(spec, records) -> int:
     it = iter(records)
     for _, (g, h, ids, _budget) in bounds._items(spec):
         key = (THEOREMS[ids[0]].kind, g.canonical_form, None if h is None else h.canonical_form)
-        statuses.setdefault(key, set()).add(tuple(next(it)["status"] for _ in ids))
+        statuses.setdefault(key, set()).add(tuple(next(it).status for _ in ids))
     return sum(len(seen) > 1 for seen in statuses.values())
 
 
@@ -433,9 +443,9 @@ def test_reused_records_match_with_labeled_witnesses(monkeypatch):
     spec = SuiteSpec(graphs=(path(5), relabeled, complete(2)), products=(STRONG,))
     records = _serial_records(spec)
     minus = {
-        r["g"]: (r["rhs"], r["note"])
+        r.g: (r.rhs, r.note)
         for r in records
-        if (r["theorem"], r["h"]) == ("T-strong-minus", "K2")
+        if (r.theorem, r.h) == ("T-strong-minus", "K2")
     }
     assert minus == {
         "P5": (4, "2-set selection g:solver-witness,h:enumerated"),
@@ -450,7 +460,7 @@ def test_reused_records_match_with_violation_witnesses(monkeypatch):
     _failing(monkeypatch, "C-coroloco", STRONG)
     spec = SuiteSpec(graphs=tuple(exhaustive_corpus(3)))
     records = _serial_records(spec)
-    assert any("witnesses" in r for r in records)
+    assert any(r.witnesses is not None for r in records)
     assert list(sweep_records(spec)) == records
 
 
@@ -730,19 +740,19 @@ _WITNESSES = st.dictionaries(
 
 
 @st.composite
-def _record_streams(draw) -> list[dict]:
+def _record_streams(draw) -> list[BoundRecord]:
     """Records reusing a few rows under different names, some with witnesses."""
     rows = draw(st.lists(_rows(), min_size=1, max_size=4))
     stream = st.tuples(
         st.sampled_from(rows), _NAMES, st.none() | _NAMES, st.none() | _WITNESSES
     )
     return [
-        dataclasses.replace(row, g=g, h=h, witnesses=witnesses).to_dict()
+        row._replace(g=g, h=h, witnesses=witnesses)
         for row, g, h, witnesses in draw(st.lists(stream, max_size=12))
     ]
 
 
-def _one_column_apart() -> list[dict]:
+def _one_column_apart() -> list[BoundRecord]:
     """A checked record, then for each column but g and h a record that
     differs from it in that column alone, each under its own names, which
     JSON escapes."""
@@ -752,12 +762,10 @@ def _one_column_apart() -> list[dict]:
         "reason": "s", "scale": 1, "lhs": 2, "rhs": 1, "relation": ">=", "holds": False,
         "tight": True, "note": None,
     }
-    records = [dataclasses.replace(base, g="G", h="H").to_dict()]
+    records = [base._replace(g="G", h="H")]
     for i, (col, value) in enumerate(changed.items()):
         h = None if i % 2 else f"\u00e9{i}\x00"
-        rec = dataclasses.replace(base, g=f'a"b\\c{i}', h=h).to_dict()
-        rec[col] = value
-        records.append(rec)
+        records.append(base._replace(g=f'a"b\\c{i}', h=h, **{col: value}))
     return records
 
 
@@ -767,14 +775,16 @@ def _one_column_apart() -> list[dict]:
 def test_streamed_writer_is_indented_json_dumps(records):
     summary = dict.fromkeys(("checked", "held", "tight", "hypothesis_skipped", "budget_skipped"), 0)
     for rec in records:
-        if rec["status"] == "checked":
+        if rec.status == "checked":
             summary["checked"] += 1
-            summary["held"] += rec["holds"]
-            summary["tight"] += rec["tight"]
+            summary["held"] += rec.holds
+            summary["tight"] += rec.tight
         else:
-            summary[rec["status"].replace("-", "_")] += 1
+            summary[rec.status.replace("-", "_")] += 1
     spec = SuiteSpec(graphs=(path(2),))
-    report = {**bounds._header(spec), "records": records, "summary": summary}
+    report = {
+        **bounds._header(spec), "records": [rec.to_dict() for rec in records], "summary": summary
+    }
     buf = io.StringIO()
     assert write_report(buf, spec, iter(records)) == summary
     assert buf.getvalue() == _dumps(report)
@@ -788,7 +798,7 @@ def test_record_columns_hold_one_type_and_names_sort_first():
     types: dict = {}
     for budget in (None, 3):
         for rec in sweep_records(SuiteSpec(graphs=tuple(exhaustive_corpus(3)), budget=budget)):
-            for col, value in rec.items():
+            for col, value in rec._asdict().items():
                 if value is not None:
                     types.setdefault(col, set()).add(type(value))
     assert {col: len(seen) for col, seen in types.items()} == dict.fromkeys(types, 1)
@@ -826,11 +836,11 @@ def test_serial_sweep_yields_before_the_last_item(monkeypatch):
     spec = SuiteSpec(graphs=tuple(exhaustive_corpus(3)), products=(CARTESIAN,))
     records = sweep_records(spec)
     first = next(records)
-    assert first["kind"] == "unary" and len(evaluated) == 1
+    assert first.kind == "unary" and len(evaluated) == 1
     rest = list(records)
     # 11 unary items and 121 ordered Cartesian pairs
     assert len(evaluated) == 11 + 11 * 11
-    assert [first, *rest] == run_suite(spec)["records"]
+    assert [rec.to_dict() for rec in (first, *rest)] == run_suite(spec)["records"]
 
 
 def test_failing_item_names_itself(monkeypatch):

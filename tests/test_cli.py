@@ -10,14 +10,16 @@ import sys
 import pytest
 
 from romdom import (
+    CARTESIAN,
+    STRONG,
     DEFAULT_SUITE_BUDGET,
     SuiteSpec,
     exhaustive_corpus,
     parse_graph6,
-    report_to_csv,
     run_suite,
 )
 from romdom.cli import build_parser, main
+from test_bounds import _failing
 
 
 def run_cli(capsys, *argv):
@@ -298,12 +300,40 @@ def test_verify_failing_item_exits_2_and_leaves_no_output(tmp_path, capsys, monk
     assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
 
-def test_verify_csv_is_report_to_csv(tmp_path, capsys):
+def test_verify_csv_bytes_are_pinned(tmp_path, capsys):
     table = tmp_path / "r.csv"
     code, _, _ = run_cli(capsys, "verify", "--corpus", "exhaustive", "--max-n", "3", "--csv", str(table))
     assert code == 0
-    spec = SuiteSpec(graphs=tuple(exhaustive_corpus(3)))
-    assert table.read_text() == report_to_csv(run_suite(spec))
+    digest = hashlib.sha256(table.read_bytes()).hexdigest()
+    assert digest == "e3663bf42bc89e719d0226af6025d9fbcc7dd4df923ec63a737685cadbc517d5"
+
+
+def test_verify_log_lines_are_the_report_records(tmp_path, capsys, monkeypatch):
+    # a failing check, so that some records carry witnesses
+    _failing(monkeypatch, "T-lower-ii", CARTESIAN)
+    argv = ["--corpus", "exhaustive", "--max-n", "2", "--products", "cartesian"]
+    log = tmp_path / "r.jsonl"
+    code, _, _ = run_cli(capsys, "verify", *argv, "--report", str(tmp_path / "r.json"),
+                         "--log", str(log))
+    assert code == 1
+    records = [json.loads(line)["record"] for line in log.read_text().splitlines()]
+    spec = SuiteSpec(graphs=tuple(exhaustive_corpus(2)), products=(CARTESIAN,))
+    assert records == run_suite(spec)["records"]
+    assert any("witnesses" in rec for rec in records)
+
+
+def test_verify_products_are_normalized(tmp_path, capsys):
+    texts = {}
+    for products in ("strong,cartesian", "cartesian,strong", "strong,cartesian,strong"):
+        report = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--family", "path:2", "--theorems", "EQ-chino,T-strong-sandwich",
+            "--products", products, "--report", str(report),
+        )
+        assert code == 0
+        texts[products] = report.read_text()
+    assert len(set(texts.values())) == 1
+    assert json.loads(texts["strong,cartesian"])["suite"]["products"] == [CARTESIAN, STRONG]
 
 
 @pytest.mark.parametrize(

@@ -292,7 +292,7 @@ class Env:
 
         def extremes(gr: Graph) -> tuple[int, int]:
             target = self._by_components("gammar", gr, self._solve_gammar)
-            ties = _optimal_ties(gr, target, self.budget)
+            ties, _ = _optimal_ties(gr, target, self.budget)
             return max(s.bit_count() for s, _ in ties), min(ones.bit_count() for _, ones in ties)
 
         return self._factor("optima", x, extremes, lambda pairs: tuple(map(sum, zip(*pairs))))

@@ -60,10 +60,12 @@ from .families import make_family, parse_family
 from .graph6 import parse_graph6, write_graph6
 from .graphs import CARTESIAN, PRODUCT_KINDS, STRONG, Graph, bits, product
 from .solvers import (
+    _optimal_rdfs,
     domination_number,
     efficient_dominating_sets,
-    enumerate_optimal_rdfs,
-    is_roman,
+    # not called here: perfbench/probe.py wraps this name in this module
+    enumerate_optimal_rdfs,  # noqa: F401
+    is_roman_values,
     roman_domination_number,
     two_packing_number,
 )
@@ -125,10 +127,12 @@ def _solve_one(g: Graph, invariant: str, budget: Optional[int]) -> dict:
         codes = efficient_dominating_sets(g, budget)
         value, witness, node_count = len(codes), [sorted(bits(c)) for c in codes], None
     elif invariant == "roman":
-        value, witness, node_count = is_roman(g, budget), None, None
+        gamma, gamma_r = domination_number(g, budget), roman_domination_number(g, budget)
+        value, witness = is_roman_values(gamma.value, gamma_r.value), None
+        node_count = gamma.node_count + gamma_r.node_count
     else:  # enumerate-rdfs
-        optima = enumerate_optimal_rdfs(g, budget=budget)
-        value, witness, node_count = len(optima), [list(f.labels) for f in optima], None
+        optima, node_count = _optimal_rdfs(g, budget)
+        value, witness = len(optima), [list(f.labels) for f in optima]
     return {
         "graph": g.name(),
         "invariant": invariant,

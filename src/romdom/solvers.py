@@ -25,9 +25,24 @@ charged at once; for gamma the node dies only when its branch vertex has
 none, since scanning every vertex for gamma cost more time than the nodes it
 saved. Bound: with c the best coverage any allowed vertex still offers, each
 of the m unresolved vertices costs at least pick / c, and at most miss, so
-the rest costs at least ceil(pick * m / c), capped at miss * m. The
-incumbent starts at miss * n, the S = empty completion, for gamma_R, and at
-n + 1 for gamma.
+the rest costs at least ceil(pick * m / c), capped at miss * m.
+
+Greedy seed. Before the search, ``_greedy_cover`` builds one solution with
+the classical greedy cover (Johnson 1974; Chvatal 1979): it takes the
+vertex whose closed neighborhood covers the most uncovered vertices, lowest
+index on ties, until every vertex is covered for gamma, and for gamma_R only
+while that vertex covers more than pick / miss = 2 new ones, the rest paying
+their miss. Its weight w is an upper bound on the optimum, and best starts
+at w + 1 (for gamma_R at most n, which the S = empty completion, the
+incumbent in place, already costs). The greedy set is never the incumbent,
+and best does not start at w: then an optimal greedy set would prune the
+path to every optimal leaf. The witness is unchanged: until the search
+reaches its first optimal leaf in search order, best is w + 1 or the cost
+of a worse leaf, so it stays above the optimum; no bound prunes the path to
+that leaf, along which cost plus bound never exceeds the optimum, and no
+orbit cut skips it, since the automorphism behind the cut would map it
+onto an earlier optimal leaf. The greedy pass is bit operations outside the
+tree, not a node.
 
 Packing bound. Any set T of unresolved vertices such that every allowed
 vertex dominates at most pick of them is an integral point of the dual of
@@ -60,7 +75,10 @@ induction over the skipped siblings, branch k cannot strictly improve the
 incumbent. At the root (S and E empty) the search also returns once the
 orbit is all of V: every completion but S = empty then maps into a finished
 branch, and for gamma_R that one is the incumbent in place before the search
-starts, so the miss branch is skipped too. On a vertex-transitive graph the
+starts, so the miss branch is skipped too. With a greedy seed below n the
+incumbent in place is the seed's bound instead, and the skip stays sound:
+S = empty costs n > seed >= optimum, so it is not optimal, and the finished
+branches hold an optimal completion. On a vertex-transitive graph the
 root thus returns after its first branch to return once the generators are
 loaded. Witnesses do not change: the incumbent is replaced only on a strict
 improvement, so it is still the first optimum in search order. The
@@ -162,7 +180,11 @@ def _cover_search(
     top = max(m.bit_count() for m in adjc)
     ctr = _Counter(budget)
     if optimum is None:
-        best = n + 1 if miss is None else miss * n
+        # the greedy seed (module docstring): one above its weight, so the
+        # search still reaches its own first optimum
+        s, ones = _greedy_cover(adjc, full, pick, miss)
+        seed = pick * s.bit_count() + (miss * ones.bit_count() if ones else 0)
+        best = min(n + 1 if miss is None else miss * n, seed + 1)
         leaves = [(0, full)]
     else:
         best = optimum + 1
@@ -264,6 +286,24 @@ def _cover_search(
     return best if optimum is None else optimum, leaves, ctr.nodes
 
 
+def _greedy_cover(adjc: list[int], full: int, pick: int, miss: Optional[int]) -> tuple[int, int]:
+    """The greedy seed of ``_cover_search`` (module docstring): a set S and
+    the vertices outside N[S], charged ``miss`` each."""
+    smask = covered = 0
+    while covered != full:
+        uncovered = full & ~covered
+        most = u = 0
+        for w, nb in enumerate(adjc):
+            c = (nb & uncovered).bit_count()
+            if c > most:
+                most, u = c, w
+        if miss is not None and most * miss <= pick:
+            break
+        smask |= 1 << u
+        covered |= adjc[u]
+    return smask, full & ~covered
+
+
 def domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
     """Minimum size of a set whose closed neighborhoods cover every vertex."""
     value, [(smask, _)], nodes = _cover_search(g, budget, pick=1, miss=None)
@@ -286,9 +326,15 @@ def enumerate_optimal_rdfs(g: Graph, budget: Optional[int] = None) -> list[Roman
     (optimal ties in the module docstring). ``budget`` caps the gamma_R
     solve and, separately, that search.
     """
+    return _optimal_rdfs(g, budget)[0]
+
+
+def _optimal_rdfs(g: Graph, budget: Optional[int] = None) -> tuple[list[RomanFunction], int]:
+    """``enumerate_optimal_rdfs`` with the nodes its two searches spent."""
     _enumeration_guard(g)  # before the gamma_R solve, not after it
-    ties = _optimal_ties(g, roman_domination_number(g, budget).value, budget)
-    return [roman_function_from_b2(g.n, s, ones) for s, ones in ties]
+    res = roman_domination_number(g, budget)
+    ties, nodes = _optimal_ties(g, res.value, budget)
+    return [roman_function_from_b2(g.n, s, ones) for s, ones in ties], res.node_count + nodes
 
 
 def _enumeration_guard(g: Graph) -> None:
@@ -298,13 +344,16 @@ def _enumeration_guard(g: Graph) -> None:
         )
 
 
-def _optimal_ties(g: Graph, target: int, budget: Optional[int] = None) -> list[tuple[int, int]]:
+def _optimal_ties(
+    g: Graph, target: int, budget: Optional[int] = None
+) -> tuple[list[tuple[int, int]], int]:
     """Every optimal Roman function of ``g``, whose weight ``target`` is
-    known, as sorted (2-set, 1-set) mask pairs: the collecting run of
-    ``enumerate_optimal_rdfs``, for a caller that has solved gamma_R already."""
+    known, as sorted (2-set, 1-set) mask pairs, and the nodes spent: the
+    collecting run of ``enumerate_optimal_rdfs``, for a caller that has
+    solved gamma_R already."""
     _enumeration_guard(g)
-    _, ties, _ = _cover_search(g, budget, pick=2, miss=1, optimum=target)
-    return sorted(ties)
+    _, ties, nodes = _cover_search(g, budget, pick=2, miss=1, optimum=target)
+    return sorted(ties), nodes
 
 
 def two_packing_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:

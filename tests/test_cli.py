@@ -14,11 +14,16 @@ from romdom import (
     STRONG,
     DEFAULT_SUITE_BUDGET,
     SuiteSpec,
+    cycle,
+    domination_number,
     exhaustive_corpus,
     parse_graph6,
+    path,
+    roman_domination_number,
     run_suite,
 )
 from romdom.cli import build_parser, main
+from romdom.solvers import _optimal_ties
 from test_bounds import _failing
 
 
@@ -55,11 +60,18 @@ def test_solve_enumerate(capsys):
     payload = json.loads(out)
     assert payload["value"] == 2
     assert sorted(map(tuple, payload["witness"])) == [(0, 2, 0, 1), (1, 0, 2, 0)]
+    # the gamma_R solve and the search that collects its ties
+    gamma_r = roman_domination_number(path(4))
+    assert payload["node_count"] == gamma_r.node_count + _optimal_ties(path(4), 3)[1]
 
 
 def test_solve_roman_flag(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "cycle:6", "--invariant", "roman")
-    assert json.loads(out)["value"] is True
+    payload = json.loads(out)
+    assert payload["value"] is True
+    # both searches: gamma and gamma_R
+    nodes = domination_number(cycle(6)).node_count + roman_domination_number(cycle(6)).node_count
+    assert payload["node_count"] == nodes
 
 
 def test_solve_file_emits_jsonl(tmp_path, capsys):

@@ -40,6 +40,7 @@ from romdom import (
     validate_rdf,
 )
 from romdom.graphs import _orbit
+from romdom.solvers import _greedy_cover
 
 from bruteforce import (
     all_labeled_graphs,
@@ -149,17 +150,21 @@ def test_gamma_and_gamma_r_on_every_small_labeled_graph():
         assert gamma_r == brute_gamma_r(n, edges) == brute_gamma_r_subsets(n, edges), edges
 
 
-def test_gamma_and_gamma_r_where_the_packing_bound_prunes():
-    # 120 seeded G(n, m) graphs, n in 12..16 with n to 5n/2 edges; the
-    # packing bound prunes in their searches, where on graphs of at most 5
-    # vertices it never does
+def _packing_graphs() -> list[tuple[int, list[tuple[int, int]]]]:
+    """120 seeded G(n, m) graphs, n in 12..16 with n to 5n/2 edges; the
+    packing bound prunes in their searches, where on graphs of at most 5
+    vertices it never does."""
     graphs = []
     for n in (12, 14, 16):
         pairs = [(u, v) for v in range(1, n) for u in range(v)]
         for m in (n, 3 * n // 2, 2 * n, 5 * n // 2):
             for seed in range(10):
                 graphs.append((n, random.Random(f"packing:{n}:{m}:{seed}").sample(pairs, m)))
-    for n, edges in graphs:
+    return graphs
+
+
+def test_gamma_and_gamma_r_where_the_packing_bound_prunes():
+    for n, edges in _packing_graphs():
         g = from_edges(n, edges)
         res = domination_number(g)
         closed = [{v} for v in range(n)]
@@ -173,6 +178,23 @@ def test_gamma_and_gamma_r_where_the_packing_bound_prunes():
         assert validate_rdf(g, res_r.witness), edges
 
 
+def test_greedy_seed_is_a_solution_no_better_than_the_optimum():
+    # the covering search's incumbent comes from this greedy pass, so it must
+    # be a real dominating set or Roman function, and never beat the oracle
+    for n, edges in [*all_labeled_graphs(5), *_packing_graphs()]:
+        g = from_edges(n, edges)
+        adjc, full = g.closed_adj(), g.full_mask
+        smask, ones = _greedy_cover(adjc, full, pick=1, miss=None)
+        covered = 0
+        for v in bits(smask):
+            covered |= adjc[v]
+        assert covered == full and not ones, edges
+        assert smask.bit_count() >= brute_gamma(n, edges)[0], edges
+        f = roman_function_from_b2(n, *_greedy_cover(adjc, full, pick=2, miss=1))
+        assert validate_rdf(g, f), edges
+        assert f.weight >= brute_gamma_r_subsets(n, edges), edges
+
+
 def test_gamma_r_of_q6_is_24():
     # Second route: by vertex-transitivity some S with 2|S| + 64 - |N[S]| <= 23
     # would contain vertex 0. |N[S]| <= 7|S| rules out |S| <= 8, |S| >= 12
@@ -183,9 +205,11 @@ def test_gamma_r_of_q6_is_24():
     assert sorted(g.edges()) == sorted(edges)
     for k in (9, 10, 11):
         assert not brute_covers(n, edges, k, 41 + 2 * k), k
+    # the greedy seed already weighs 24, so the search only proves it; the
+    # node pin guards the instance the families sweep spends most on
     res = roman_domination_number(g, budget=2_000_000)
     labels = res.witness.labels
-    assert res.value == sum(labels) == 24
+    assert (res.value, sum(labels), res.node_count) == (24, 24, 146_659)
     for v in range(n):
         assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
 
@@ -256,19 +280,19 @@ def test_node_counts_are_reported():
 
 
 # Values and witnesses from before any symmetry cut, and the exact node counts
-# the covering search takes with the orbit cut and the packing bound, so that
-# any change to its branching, bounds or cut shows up here. P4xC5 stops
-# before the n^2 nodes that load the generators; P5xQ3 is not transitive and
-# has 96 automorphisms.
+# the covering search takes with the greedy seed, the orbit cut and the
+# packing bound, so that any change to its branching, seed, bounds or cut
+# shows up here. P4xC5 stops before the n^2 nodes that load the generators;
+# P5xQ3 is not transitive and has 96 automorphisms.
 ORBIT_CUT_CASES = [
-    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 2122,
-     20, "220200000000200020000200020200200000000020", 4748),
-    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 1475,
-     16, "2020020000000000002000000000200200202000", 1687),
-    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 203,
-     10, "20010002000000202010", 212),
-    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 10699,
-     18, "2200000000000022200000000002020020000020", 27864),
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 1614,
+     20, "220200000000200020000200020200200000000020", 2135),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 1030,
+     16, "2020020000000000002000000000200200202000", 1689),
+    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 105,
+     10, "20010002000000202010", 59),
+    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 5371,
+     18, "2200000000000022200000000002020020000020", 16273),
 ]
 
 
@@ -290,7 +314,8 @@ def test_orbit_cut_keeps_values_and_witnesses(
 
 def test_orbit_cut_on_k4_c11():
     # 379,267 nodes with neither a symmetry cut nor the packing bound, 76,815
-    # with the packing bound and a cut at the root alone
+    # with the packing bound and a cut at the root alone; the greedy seed is
+    # already optimal here, so the tree is the proof and does not shrink
     res = domination_number(product(complete(4), cycle(11), CARTESIAN))
     assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 15674)
 

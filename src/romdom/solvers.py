@@ -21,11 +21,8 @@ lowest-index vertex v that is neither dominated nor already charged a miss:
 either some allowed member of N[v] joins S (cost pick), and is refused to
 the later siblings, or none ever does and v is charged miss. When miss is
 set, every such vertex with no allowed member of its closed neighborhood is
-charged at once; for gamma the node dies only when its branch vertex has
-none, since scanning every vertex for gamma cost more time than the nodes it
-saved. Bound: with c the best coverage any allowed vertex still offers, each
-of the m unresolved vertices costs at least pick / c, and at most miss, so
-the rest costs at least ceil(pick * m / c), capped at miss * m.
+charged at once; for gamma the node dies when the local bound's scan (below)
+finds one.
 
 Greedy seed. Before the search, ``_greedy_cover`` builds one solution with
 the classical greedy cover (Johnson 1974; Chvatal 1979): it takes the
@@ -54,9 +51,27 @@ is built greedily in index order, with one mask of the allowed vertices
 that dominate at least one member of T and one of those that dominate two;
 a vertex joins T unless one of its allowed dominators is saturated (the
 first mask for gamma, the second for gamma_R). The node dies as soon as
-|T| reaches best - cost. This walk is bit operations only and runs before
-the coverage bound, which scans every allowed vertex and is consulted only
-when the walk does not prune; both prune only on >= best.
+|T| reaches best - cost. This walk is bit operations only and runs first.
+
+Local bound. When the walk does not prune, the node sums a fractional point
+of the same dual (the fractional-domination dual; Grinstead & Slater,
+Congr. Numer. 71, 1990). Let U be the unresolved vertices, c_u the number
+of them that an allowed vertex u dominates, and c(v) the largest c_u over
+the allowed dominators u of v. Charging each v in U min(miss, pick / c(v))
+(pick / c(v) for gamma) is dual feasible: an allowed u that joins S
+dominates at most c_u members of U, each with c(v) >= c_u, so they are
+charged at most pick, its cost; a member of U that no member of S
+dominates pays its own miss, at least its charge. So the rest costs at
+least the sum of the charges. It is never below the global coverage
+bound ceil(pick * |U| / max c_u) capped at miss * |U|, since every c(v) is
+at most max c_u. The arithmetic is exact in integers scaled by L = lcm(1..top),
+top the largest closed neighborhood: share[c] = min(miss * L, pick * L / c)
+is built once per search, one pass over the allowed vertices ORs N[u] into
+bymax[c_u], and a descending pass over c gives each member of U the share
+of the highest level that reaches it, one mask AND per level. The node dies
+once the shares pass (best - cost - 1) * L, that is once cost plus the
+ceiling of the sum reaches best, or, for gamma, when some member of U has
+no allowed dominator. Both bounds prune only on >= best.
 
 All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
@@ -104,6 +119,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Optional
 
 from .config import DEFAULT_ENUM_GUARD
@@ -178,6 +194,12 @@ def _cover_search(
     full = g.full_mask
     adjc = g.closed_adj()
     top = max(m.bit_count() for m in adjc)
+    # the local bound's share of a vertex whose best dominator covers c,
+    # scaled by lcm(1..top) so that every share is an integer
+    scale = lcm(*range(1, top + 1))
+    share = [0] + [pick * scale // c for c in range(1, top + 1)]
+    if miss is not None:
+        share = [min(miss * scale, x) for x in share]
     ctr = _Counter(budget)
     if optimum is None:
         # the greedy seed (module docstring): one above its weight, so the
@@ -236,28 +258,32 @@ def _cover_search(
                     return
                 two |= one & d
                 one |= d
-        m = undom.bit_count()
-        maxc = 0
+        # local bound (module docstring): bymax[c] ORs the closed
+        # neighborhoods of the allowed vertices that cover c unresolved ones,
+        # and each unresolved vertex pays the share of the highest c that
+        # reaches it, out of room = (best - cost - 1) * scale
+        bymax = [0] * (top + 1)
         t = allowed
         while t:
             lsb = t & -t
             t ^= lsb
-            c = (adjc[lsb.bit_length() - 1] & undom).bit_count()
-            if c > maxc:
-                maxc = c
-                if maxc == top:
+            nb = adjc[lsb.bit_length() - 1]
+            bymax[(nb & undom).bit_count()] |= nb
+        room = (best - cost - 1) * scale
+        rest = undom
+        for c in range(top, 0, -1):
+            hit = rest & bymax[c]
+            if hit:
+                room -= share[c] * hit.bit_count()
+                if room < 0:
+                    return
+                rest ^= hit
+                if not rest:
                     break
-        if maxc == 0:
-            return
-        lb = (pick * m + maxc - 1) // maxc
-        if miss is not None and miss * m < lb:
-            lb = miss * m
-        if cost + lb >= best:
-            return
+        if rest:
+            return  # gamma only: some unresolved vertex has no allowed dominator
         v = undom & -undom
         cands = adjc[v.bit_length() - 1] & allowed
-        if not cands:
-            return
         ex = excluded
         stab = None  # the generators fixing smask | excluded, once loaded
         tried = 0  # the orbit of the tried candidates under stab

@@ -178,6 +178,42 @@ def test_gamma_and_gamma_r_where_the_packing_bound_prunes():
         assert validate_rdf(g, res_r.witness), edges
 
 
+def test_gamma_and_gamma_r_where_the_local_bound_is_widest():
+    # n + 1 vertices covered by one closed neighborhood: the local bound's
+    # shares are scaled by lcm(1..n + 1), and every unresolved vertex is
+    # reached from the top level. With a universal vertex n the oracles run
+    # as they are; with a star K1,n beside the graph instead, the search
+    # carries that top level through every node, and gamma and gamma_R are
+    # the graph's plus the star's 1 and 2
+    for n, edges in _packing_graphs():
+        gamma, gamma_r = brute_gamma(n, edges)[0], brute_gamma_r_subsets(n, edges)
+        universal = edges + [(v, n) for v in range(n)]
+        beside = edges + [(n, n + 1 + v) for v in range(n)]
+        for g, want, want_r in (
+            (from_edges(n + 1, universal), brute_gamma(n + 1, universal)[0],
+             brute_gamma_r_subsets(n + 1, universal)),
+            (from_edges(2 * n + 1, beside), gamma + 1, gamma_r + 2),
+        ):
+            res = domination_number(g)
+            adjc, covered = g.closed_adj(), 0
+            for v in bits(res.witness):
+                covered |= adjc[v]
+            assert (res.value, res.witness.bit_count(), covered) == (want, want, g.full_mask), edges
+            res_r = roman_domination_number(g)
+            assert res_r.value == res_r.witness.weight == want_r, edges
+            assert validate_rdf(g, res_r.witness), edges
+
+
+@pytest.mark.parametrize("g", [complete(64), star(63)], ids=["K64", "K1,63"])
+def test_gamma_and_gamma_r_at_the_largest_scale(g):
+    # top = 64, so the shares are scaled by lcm(1..64), a 90-bit integer
+    res = domination_number(g)
+    assert res.value == 1 and g.closed_adj()[res.witness.bit_length() - 1] == g.full_mask
+    res_r = roman_domination_number(g)
+    assert res_r.value == res_r.witness.weight == 2
+    assert validate_rdf(g, res_r.witness)
+
+
 def test_greedy_seed_is_a_solution_no_better_than_the_optimum():
     # the covering search's incumbent comes from this greedy pass, so it must
     # be a real dominating set or Roman function, and never beat the oracle
@@ -209,7 +245,7 @@ def test_gamma_r_of_q6_is_24():
     # node pin guards the instance the families sweep spends most on
     res = roman_domination_number(g, budget=2_000_000)
     labels = res.witness.labels
-    assert (res.value, sum(labels), res.node_count) == (24, 24, 146_659)
+    assert (res.value, sum(labels), res.node_count) == (24, 24, 72_906)
     for v in range(n):
         assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
 
@@ -280,19 +316,20 @@ def test_node_counts_are_reported():
 
 
 # Values and witnesses from before any symmetry cut, and the exact node counts
-# the covering search takes with the greedy seed, the orbit cut and the
-# packing bound, so that any change to its branching, seed, bounds or cut
-# shows up here. P4xC5 stops before the n^2 nodes that load the generators;
-# P5xQ3 is not transitive and has 96 automorphisms.
+# the covering search takes with the greedy seed, the orbit cut, the packing
+# bound and the local bound, so that any change to its branching, seed,
+# bounds or cut shows up here. P4xC5, and gamma of C6xC7 and of Q3xC5, stop
+# before the n^2 nodes that load the generators; P5xQ3 is not transitive and
+# has 96 automorphisms.
 ORBIT_CUT_CASES = [
-    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 1614,
-     20, "220200000000200020000200020200200000000020", 2135),
-    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 1030,
-     16, "2020020000000000002000000000200200202000", 1689),
-    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 105,
-     10, "20010002000000202010", 59),
-    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 5371,
-     18, "2200000000000022200000000002020020000020", 16273),
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 1097,
+     20, "220200000000200020000200020200200000000020", 1866),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 588,
+     16, "2020020000000000002000000000200200202000", 1672),
+    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 98,
+     10, "20010002000000202010", 56),
+    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 2940,
+     18, "2200000000000022200000000002020020000020", 10961),
 ]
 
 
@@ -314,23 +351,29 @@ def test_orbit_cut_keeps_values_and_witnesses(
 
 def test_orbit_cut_on_k4_c11():
     # 379,267 nodes with neither a symmetry cut nor the packing bound, 76,815
-    # with the packing bound and a cut at the root alone; the greedy seed is
-    # already optimal here, so the tree is the proof and does not shrink
+    # with the packing bound and a cut at the root alone, 15,674 with the
+    # orbit cut at every node; the greedy seed is already optimal here, so
+    # the tree is the proof, and the local bound shrinks it
     res = domination_number(product(complete(4), cycle(11), CARTESIAN))
-    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 15674)
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 4322)
 
 
 def test_root_cut_needs_transitivity():
     # C6xC7 with a pendant vertex 0 hung on vertex 1: the orbit of 0 is not
-    # all of V, and its first root branch, which takes the pendant, spends
-    # over n^2 nodes without reaching the optimum. Some minimum dominating set
-    # of C6xC7 holds the hub, and some optimal Roman function labels it 2, so
-    # both values stay C6xC7's.
+    # all of V. The root's candidates are 0 and 1, and the gamma_R search
+    # passes n^2 nodes inside the second root branch, so the generators are
+    # loaded by the time the root closes its tried candidates under them;
+    # the last assertion keeps that premise (the gamma search now ends below
+    # n^2 nodes and never loads them). Some minimum dominating set of C6xC7
+    # holds the hub, and some optimal Roman function labels it 2, so both
+    # values stay C6xC7's.
     g = product(cycle(6), cycle(7), CARTESIAN)
     h = from_edges(g.n + 1, [(u + 1, v + 1) for u, v in g.edges()] + [(0, 1)])
     assert _orbit(h._symmetry[1], 1) != h.full_mask
     assert domination_number(h).value == 10
-    assert roman_domination_number(h).value == 20
+    res_r = roman_domination_number(h)
+    assert res_r.value == 20
+    assert res_r.node_count > h.n ** 2
 
 
 def test_default_corpus_products_keep_values_and_witnesses():

@@ -102,17 +102,42 @@ support of each) cost more than a small search saves, so they are loaded
 only once the search has spent n^2 nodes; a node picks its own from them
 when its first candidate returns after that.
 
+Dominance cut. A candidate x of the branch vertex v is skipped when some
+refused u in N[v] dominates every unresolved vertex that x dominates: N[x]
+meet U lies in N[u], with U the unresolved vertices and the refused set
+the node's E plus the siblings already tried or skipped (the subsumption
+rule of set cover; Fomin, Grandoni & Kratsch, J. ACM 56(5), 2009). It needs
+no automorphism. A skipped x is marked tried, as an orbit skip is, and
+refused to the later siblings and the miss branch as before, so the rest of
+the tree is unchanged. It is exact. Take a completion S of x's branch and
+S' = S - x + u. As u is refused, u is not in S and |S'| = |S|. As x is
+allowed, N[x] misses every charged vertex, and its covered part lies in
+N[S minus x], so N[S'] contains N[S] and S' costs no more. A set's path is
+fixed by the set alone: each node takes the lowest member of S in N[v], or
+the miss branch, so leaves come in a fixed order on sets. The path of S'
+agrees with that of S down to the node that refused u, as an earlier
+sibling or by a miss branch, and there takes an earlier branch, since u
+is in S' and in N[v] there. So an optimal S in a skipped branch has an
+optimal S' ahead of it in search order, and the first optimal leaf, the
+witness, is never skipped; the same holds with orbit skips, each of which
+also maps S onto a set ahead of it at the same cost. Values and witnesses
+do not change. The refused u matters: for an allowed u, S' may lie in a
+later branch, which the same test can skip in turn, and values as well
+as witnesses go wrong. The test costs one AND of N[v] with the refused
+set, then one AND per vertex of N[x] meet U other than v until no
+refused vertex is left.
+
 Optimal ties. Given the optimum, the search lists every optimal S instead
 (``enumerate_optimal_rdfs``): best stays at the optimum plus one, every
-leaf is kept, and the orbit cut, sound only when one optimum is wanted,
-is skipped. A leaf charges exactly V minus N[S]. Each optimal S is
-reached exactly once. Its branch is fixed at every node: the miss branch
-when v lies outside N[S], else the pick of the lowest member of S in N[v]
-(earlier siblings pick non-members, later ones refuse it, the miss branch
-refuses all of N[v]). No bound cuts that path, and it picks every member
-u of S: u has a private vertex w of N[S] (else S minus u would cost 2
-less), which stays unresolved until u joins, so w becomes a branch vertex
-and picks u.
+leaf is kept, and the orbit and dominance cuts, sound only when one
+optimum is wanted, are skipped. A leaf charges exactly V minus N[S]. Each
+optimal S is reached exactly once. Its branch is fixed at every node: the
+miss branch when v lies outside N[S], else the pick of the lowest member
+of S in N[v] (earlier siblings pick non-members, later ones refuse it, the
+miss branch refuses all of N[v]). No bound cuts that path, and it picks
+every member u of S: u has a private vertex w of N[S] (else S minus u
+would cost 2 less), which stays unresolved until u joins, so w becomes a
+branch vertex and picks u.
 """
 
 from __future__ import annotations
@@ -283,15 +308,31 @@ def _cover_search(
         if rest:
             return  # gamma only: some unresolved vertex has no allowed dominator
         v = undom & -undom
-        cands = adjc[v.bit_length() - 1] & allowed
+        nv = adjc[v.bit_length() - 1]
+        cands = nv & allowed
         ex = excluded
         stab = None  # the generators fixing smask | excluded, once loaded
-        tried = 0  # the orbit of the tried candidates under stab
+        tried = 0  # the orbit of the tried candidates under stab, and dominance skips
         while cands:
             lsb = cands & -cands
             cands ^= lsb
             if not tried & lsb:
-                dfs(smask | lsb, covered | adjc[lsb.bit_length() - 1], ones, ex, cost + pick)
+                nb = adjc[lsb.bit_length() - 1]
+                # dominance cut (module docstring): dom keeps the refused
+                # members of N[v] that dominate every unresolved vertex of
+                # N[lsb], and lsb is skipped if one is left; they all
+                # dominate v, which lies in N[lsb]
+                dom = nv & ex if optimum is None else 0
+                t = (nb & undom) ^ v
+                while t and dom:
+                    w = t & -t
+                    t ^= w
+                    dom &= adjc[w.bit_length() - 1]
+                if dom:
+                    tried |= lsb
+                    ex |= lsb
+                    continue
+                dfs(smask | lsb, covered | nb, ones, ex, cost + pick)
                 if gens is None and optimum is None and ctr.nodes > n * n:
                     gens = [(p, mask_of(w for w in range(n) if p[w] != w))
                             for p in g._symmetry[1]]

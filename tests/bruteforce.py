@@ -70,6 +70,48 @@ def brute_gamma_r_subsets(n: int, edges) -> int:
     return best
 
 
+def brute_first_optimum(n: int, edges, pick: int, miss) -> tuple[int, tuple[int, ...]]:
+    """The optimum of pick * |S| + miss * |V minus N[S]| (``miss=None``:
+    S must dominate) and the optimal S whose path comes first.
+
+    A set's path: repeatedly take the lowest vertex neither dominated by
+    the vertices chosen so far nor missed, and choose the lowest member of
+    S in its closed neighborhood, or "miss" when there is none, which sorts
+    after every vertex. Paths compare as sequences. With a miss cost the
+    empty set, costing miss * n, is returned whenever nothing beats it,
+    since that is the answer already in place before any search.
+    """
+    closed = _closed(n, edges)
+    scored = []
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            covered = set().union(*(closed[v] for v in combo))
+            if miss is None and len(covered) < n:
+                continue
+            scored.append((pick * size + (miss or 0) * (n - len(covered)), combo))
+    best = min(cost for cost, _ in scored)
+    if miss is not None and best == miss * n:
+        return best, ()
+
+    def path(combo: tuple[int, ...]) -> list[int]:
+        chosen, missed, steps = set(), set(), []
+        while True:
+            dominated = set().union(*(closed[v] for v in chosen))
+            rest = [v for v in range(n) if v not in dominated and v not in missed]
+            if not rest:
+                return steps
+            v = rest[0]
+            hits = [u for u in combo if u in closed[v]]
+            if hits:
+                chosen.add(hits[0])
+                steps.append(hits[0])
+            else:
+                missed.add(v)
+                steps.append(n)
+
+    return best, min((combo for cost, combo in scored if cost == best), key=path)
+
+
 def brute_covers(n: int, edges, k: int, target: int, root: int = 0) -> bool:
     """Whether some S with root in S and |S| <= k has |N[S]| >= target.
 

@@ -545,7 +545,7 @@ def test_workers_solve_each_product_once(monkeypatch, tmp_path):
     assert set(solves[2]) == set(solves[1])
 
 
-# gamma_R(P5 x K4) takes 475 nodes and gamma_R(K4 x P5) 434, so at this
+# gamma_R(P5 x K4) takes 456 nodes and gamma_R(K4 x P5) 409, so at this
 # budget only K4 x P5 fits; the test checks that premise first
 ORIENTED_BUDGET = 450
 
@@ -579,8 +579,9 @@ def test_budget_failure_is_not_shared_across_orientations(monkeypatch, order):
     assert report_to_json(run_suite(spec, jobs=2)) == report_to_json(report)
 
 
-# P3 and star:2 are one isomorphism class; at this budget some of star:2's
-# own solves run out where those on the class's canonical graph do not
+# P3 and star:2 are one isomorphism class; at this budget some solves on
+# star:2 itself and on P3's strong product with it run out where those on
+# the class's canonical graphs do not
 CLASS_BUDGET = 4
 
 
@@ -595,7 +596,8 @@ def test_class_keys_only_add_checked_records(monkeypatch):
     pairs = list(zip(labeled["records"], report["records"]))
     assert all(new == old for old, new in pairs if old["status"] == "checked")
     gained = [new for old, new in pairs if old["status"] != new["status"] == "checked"]
-    assert {(r["g"], r["kind"]) for r in gained} == {("K1,2", "unary")}
+    assert {(r["g"], r["kind"]) for r in gained} == {
+        ("K1,2", "unary"), ("K1,2", "strong"), ("P3", "strong")}
     assert report_to_json(run_suite(spec, jobs=2)) == report_to_json(report)
 
 

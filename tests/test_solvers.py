@@ -27,6 +27,7 @@ from romdom import (
     domination_number,
     efficient_dominating_sets,
     enumerate_optimal_rdfs,
+    exhaustive_corpus,
     from_edges,
     hypercube,
     is_roman,
@@ -39,6 +40,7 @@ from romdom import (
     two_packing_number,
     validate_rdf,
 )
+from romdom import solvers
 from romdom.graphs import _orbit
 from romdom.solvers import _greedy_cover
 
@@ -46,6 +48,7 @@ from bruteforce import (
     all_labeled_graphs,
     brute_codes,
     brute_covers,
+    brute_first_optimum,
     brute_gamma,
     brute_gamma_r,
     brute_gamma_r_subsets,
@@ -214,6 +217,32 @@ def test_gamma_and_gamma_r_at_the_largest_scale(g):
     assert validate_rdf(g, res_r.witness)
 
 
+def _first_optimum_graphs() -> list[tuple[int, list[tuple[int, int]]]]:
+    """150 seeded G(n, m) graphs, n in 6..11 with n - 1 to 2n edges."""
+    graphs = []
+    for n in range(6, 12):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        for seed in range(25):
+            rng = random.Random(f"first:{n}:{seed}")
+            graphs.append((n, rng.sample(pairs, rng.randint(n - 1, 2 * n))))
+    return graphs
+
+
+def test_witnesses_are_the_first_optimum_in_search_order():
+    # the kernel's cuts skip branches but never the first optimal leaf, so
+    # both witnesses are the oracle's first optimum in path order, on all
+    # 1,099 labeled graphs on at most 5 vertices and 150 seeded graphs
+    labeled = [(g.n, g.edges()) for g in exhaustive_corpus(5)]
+    for n, edges in [*labeled, *_first_optimum_graphs()]:
+        g = from_edges(n, edges)
+        res = domination_number(g)
+        assert (res.value, tuple(bits(res.witness))) == brute_first_optimum(n, edges, 1, None), edges
+        res_r = roman_domination_number(g)
+        value, s = brute_first_optimum(n, edges, 2, 1)
+        assert (res_r.value, res_r.witness.b2, res_r.witness.weight) == (value, mask_of(s), value), edges
+        assert validate_rdf(g, res_r.witness), edges
+
+
 def test_greedy_seed_is_a_solution_no_better_than_the_optimum():
     # the covering search's incumbent comes from this greedy pass, so it must
     # be a real dominating set or Roman function, and never beat the oracle
@@ -245,7 +274,7 @@ def test_gamma_r_of_q6_is_24():
     # node pin guards the instance the families sweep spends most on
     res = roman_domination_number(g, budget=2_000_000)
     labels = res.witness.labels
-    assert (res.value, sum(labels), res.node_count) == (24, 24, 72_906)
+    assert (res.value, sum(labels), res.node_count) == (24, 24, 72_876)
     for v in range(n):
         assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
 
@@ -316,20 +345,20 @@ def test_node_counts_are_reported():
 
 
 # Values and witnesses from before any symmetry cut, and the exact node counts
-# the covering search takes with the greedy seed, the orbit cut, the packing
-# bound and the local bound, so that any change to its branching, seed,
-# bounds or cut shows up here. P4xC5, and gamma of C6xC7 and of Q3xC5, stop
+# the covering search takes with the greedy seed, the orbit and dominance
+# cuts, the packing bound and the local bound, so that any change to its
+# branching, seed, bounds or cuts shows up here. P4xC5, and gamma of C6xC7 and of Q3xC5, stop
 # before the n^2 nodes that load the generators; P5xQ3 is not transitive and
 # has 96 automorphisms.
 ORBIT_CUT_CASES = [
-    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 1097,
-     20, "220200000000200020000200020200200000000020", 1866),
-    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 588,
-     16, "2020020000000000002000000000200200202000", 1672),
-    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 98,
-     10, "20010002000000202010", 56),
-    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 2940,
-     18, "2200000000000022200000000002020020000020", 10961),
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 1091,
+     20, "220200000000200020000200020200200000000020", 1812),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 587,
+     16, "2020020000000000002000000000200200202000", 1671),
+    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 96,
+     10, "20010002000000202010", 53),
+    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 2743,
+     18, "2200000000000022200000000002020020000020", 10284),
 ]
 
 
@@ -353,27 +382,36 @@ def test_orbit_cut_on_k4_c11():
     # 379,267 nodes with neither a symmetry cut nor the packing bound, 76,815
     # with the packing bound and a cut at the root alone, 15,674 with the
     # orbit cut at every node; the greedy seed is already optimal here, so
-    # the tree is the proof, and the local bound shrinks it
+    # the tree is the proof, and the local bound and the dominance cut
+    # shrink it
     res = domination_number(product(complete(4), cycle(11), CARTESIAN))
-    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 4322)
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 3984)
 
 
-def test_root_cut_needs_transitivity():
-    # C6xC7 with a pendant vertex 0 hung on vertex 1: the orbit of 0 is not
-    # all of V. The root's candidates are 0 and 1, and the gamma_R search
-    # passes n^2 nodes inside the second root branch, so the generators are
-    # loaded by the time the root closes its tried candidates under them;
-    # the last assertion keeps that premise (the gamma search now ends below
-    # n^2 nodes and never loads them). Some minimum dominating set of C6xC7
-    # holds the hub, and some optimal Roman function labels it 2, so both
-    # values stay C6xC7's.
-    g = product(cycle(6), cycle(7), CARTESIAN)
+def test_root_cut_needs_transitivity(monkeypatch):
+    # C8xC6 with a pendant vertex 0 hung on vertex 1: the orbit of 0 is not
+    # all of V. The root's candidates are 0 and 1. Both searches pass n^2
+    # nodes inside the first root branch, so the root closes the pendant
+    # under the loaded generators; no other node can, since 0 is in S or
+    # refused below the root. The recorded closures keep that premise. A
+    # dominating set or Roman function of the pendant graph moves whatever
+    # it puts on 0 to the hub 1 at no cost, and some optimum of C8xC6, which
+    # is vertex-transitive, holds the hub, so both values stay C8xC6's
+    g = product(cycle(8), cycle(6), CARTESIAN)
     h = from_edges(g.n + 1, [(u + 1, v + 1) for u, v in g.edges()] + [(0, 1)])
     assert _orbit(h._symmetry[1], 1) != h.full_mask
-    assert domination_number(h).value == 10
-    res_r = roman_domination_number(h)
-    assert res_r.value == 20
-    assert res_r.node_count > h.n ** 2
+    closures = []
+
+    def recorded(perms, orbit):
+        closures.append(orbit)
+        return _orbit(perms, orbit)
+
+    monkeypatch.setattr(solvers, "_orbit", recorded)
+    for solve, value in ((domination_number, 12), (roman_domination_number, 22)):
+        closures.clear()
+        assert solve(h).value == value
+        assert any(orbit & 1 for orbit in closures), solve.__name__
+        assert solve(g).value == value
 
 
 def test_default_corpus_products_keep_values_and_witnesses():

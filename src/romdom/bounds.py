@@ -64,24 +64,20 @@ from .solvers import (
 # per-instance lazy invariant cache
 
 
-def _memoized(memo: dict, key, fn, failure_key=None):
+def _memoized(memo: dict, key, fn):
     """``fn()`` memoized in ``memo`` under ``key``; a BudgetExceeded or
-    CapacityError is memoized under ``failure_key`` (``key`` by default) and
-    raised again on lookup. A value under ``key`` is found before a failure
-    under ``failure_key``."""
-    failure_key = key if failure_key is None else failure_key
-    for k in (key, failure_key):
-        if k in memo:
-            value = memo[k]
-            if isinstance(value, Exception):
-                # a fresh traceback on every raise, so a stored exception does
-                # not collect (and keep alive) the frames of each lookup
-                raise value.with_traceback(None)
-            return value
+    CapacityError is memoized too and raised again on lookup."""
+    if key in memo:
+        value = memo[key]
+        if isinstance(value, Exception):
+            # a fresh traceback on every raise, so a stored exception does
+            # not collect (and keep alive) the frames of each lookup
+            raise value.with_traceback(None)
+        return value
     try:
         value = fn()
     except (BudgetExceeded, CapacityError) as exc:
-        memo[failure_key] = exc
+        memo[key] = exc
         raise
     memo[key] = value
     return value
@@ -108,37 +104,24 @@ class Env:
     ``witness_payload``; failures are kept only in the solve memo.
 
     Every invariant the checks read is an isomorphism invariant of G, of H
-    or of the unordered pair, so the solve memo shares values across
-    isomorphism classes (``Graph.canonical_form``). Each factor invariant
-    adds over components (``all`` for the efficient-domination test), and
-    the components of G x H are the products of G's and H's components, so
-    a graph or a pair with a disconnected factor is solved by components:
+    or of the unordered pair, so every solve runs on canonical graphs
+    (``Graph.canonical_form``) and its value or failure is kept under class
+    keys alone. Each factor invariant adds over components (``all`` for the
+    efficient-domination test), and the components of G x H are the
+    products of G's and H's components:
 
     - A factor invariant is kept per class under ``(name, form)``: on a
       connected class, its canonical graph's value; else the sum of its
-      components' class values, the same keys. Its outcome is the same for
-      every labeling and every task; only when it runs out is the labeled
-      graph solved whole, its outcome kept under its labeled adjacency.
-    - A pair with a disconnected factor is the sum over component pairs.
-      Each is solved on the two canonical graphs, the larger first, its
-      value and failure kept under ``("part", name, kind, classes)`` for
-      its unordered class pair: never a connected pair's key, so its
-      outcome depends on its classes alone, whatever the task order.
-      K1 x B is B, so a component pair with K1 reads B's factor class
-      value instead.
-    - A connected pair is the one-term case, solved on the labeled pair.
+      components' class values, the same keys.
+    - A pair is the sum, over the pairs of its factors' component classes,
+      of ``_component_pair``: each term is kept under ``("part", name,
+      kind, classes)`` for its unordered class pair. A connected pair is the
+      one-term case.
 
-    Either way a pair keeps its value under the class pair and a failure
-    under the labeled pair, so a labeling that runs out does not stop a
-    later one from trying.
-
-    The one labeled object a check reads, the gamma_R witness behind
-    ``max_b2``'s fallback, is keyed by labeled graph.
-
-    ``ran_out`` is set whenever a BudgetExceeded or CapacityError reaches
-    a place that handles it: a labeled fallback here, or a budget-skipped
-    record in ``_evaluate_env``. An Env that never ran out read class keys
-    only, so every labeling of its class (pair) reads the same values.
+    So every labeling of a class (pair) reads the same values and meets the
+    same failures, in every task. The one labeled object a check reads, the
+    gamma_R witness behind ``max_b2``'s fallback, is keyed by labeled
+    graph, and reading it sets ``read_labeled``.
     """
 
     def __init__(self, g: Graph, h: Optional[Graph] = None, budget: Optional[int] = None):
@@ -148,7 +131,7 @@ class Env:
         self._memo: dict = {}
         self._sweep: dict = {}
         self._kinds: set = set()  # product kinds an invariant was read on
-        self.ran_out = False
+        self.read_labeled = False
 
     def graph(self, x: str) -> Graph:
         gr = self.g if x == "g" else self.h
@@ -175,11 +158,9 @@ class Env:
         return self._get((name, x), lambda: self._by_components(name, self.graph(x), solve, combine))
 
     def _by_components(self, name: str, gr: Graph, solve, combine=sum):
-        """``solve``'s value on ``gr``, kept per class under ``(name, form)``:
+        """``solve``'s value on ``gr``'s class, kept under ``(name, form)``:
         on a connected class, ``solve`` on its canonical graph, else
-        ``combine`` of the components' class values. Only when that runs out
-        is ``gr`` itself solved, its outcome kept under the labeled graph."""
-        form = gr.canonical_form
+        ``combine`` of the components' class values."""
 
         def by_class():
             parts = self._parts(gr)
@@ -187,63 +168,25 @@ class Env:
                 return solve(parts[0])
             return combine(self._by_components(name, p, solve, combine) for p in parts)
 
-        try:
-            return _memoized(self._sweep, (name, form), by_class)
-        except (BudgetExceeded, CapacityError):
-            self.ran_out = True
-            if form == gr.adj:
-                raise
-        return _memoized(self._sweep, (name, gr), lambda: solve(gr))
+        return _memoized(self._sweep, (name, gr.canonical_form), by_class)
 
     def _product(self, name: str, kind: str, solver):
-        def outcome():
-            self._kinds.add(kind)
-            g, h = self.g, self.h
-            return self._pair_value(
-                name,
-                kind,
-                solver,
-                h,
-                (name, kind, frozenset((g.canonical_form, h.canonical_form))),
-                (name, kind, frozenset((g, h))),
-                lambda: self.prod(kind),
-            )
+        self._kinds.add(kind)
+        return self._get((name, kind), lambda: self._pair_value(name, kind, solver, self.h))
 
-        return self._get((name, kind), outcome)
-
-    def _pair_value(self, name: str, kind: str, solver, h: Graph, key, failure_key, labeled):
-        """``solver``'s value on G x ``h``, kept under ``key`` (its class
-        pair), a failure under ``failure_key`` (its labeled pair).
-
-        With a disconnected factor it is the sum over component pairs (see
-        the class docstring). A connected pair is solved on ``labeled()``,
-        G x h itself; G x h and h x G are isomorphic, so when G x h runs out
-        and h != G, h x G is solved instead. G is the pair's first
-        orientation in report order: a serial sweep meets the labeled pairs
-        of a class pair in report order, and ``jobs > 1`` keeps them in one
-        task, in report order, so the outcome does not depend on ``jobs``.
-        The labeled product is built only for a solve; ``witness_payload``
-        builds it for the report.
-        """
-        g = self.g
-
-        def solve():
-            terms = [(a, b) for a in self._parts(g) for b in self._parts(h)]
-            if len(terms) > 1:
-                return sum(self._component_pair(name, kind, solver, a, b) for a, b in terms)
-            try:
-                return solver(labeled(), self.budget).value
-            except (BudgetExceeded, CapacityError):
-                self.ran_out = True
-                if h != g:
-                    with suppress(BudgetExceeded, CapacityError):
-                        return solver(product(h, g, kind), self.budget).value
-                raise
-
-        return _memoized(self._sweep, key, solve, failure_key)
+    def _pair_value(self, name: str, kind: str, solver, h: Graph) -> int:
+        """``solver``'s value on G x ``h``: the sum over the pairs of G's and
+        ``h``'s component classes (see the class docstring)."""
+        return sum(
+            self._component_pair(name, kind, solver, a, b)
+            for a in self._parts(self.g)
+            for b in self._parts(h)
+        )
 
     def _component_pair(self, name: str, kind: str, solver, a: Graph, b: Graph) -> int:
-        """``solver``'s value on the product of two canonical component graphs."""
+        """``solver``'s value on the product of two canonical connected
+        graphs; its value or failure is kept under their unordered class
+        pair, or, with K1, under the other graph's factor class key."""
         # larger first: fewer nodes than smaller first on the pinned sweeps
         first, second = sorted((a, b), key=lambda p: (p.n, p.adj), reverse=True)
         if second.n == 1:
@@ -319,7 +262,7 @@ class Env:
         try:
             return self.optima(x)[0], "enumerated"
         except CapacityError:
-            self.ran_out = True
+            self.read_labeled = True
             gr = self.graph(x)
             fn = self._get(
                 ("gammar_fn", x),
@@ -351,23 +294,12 @@ class Env:
         return self._get(("prod_k2",), lambda: product(self.g, _K2, CARTESIAN))
 
     def gammar_k2(self) -> int:
-        """gamma_R(G x K2), the Cartesian pair {G, K2}: a disconnected G shares
-        its component pairs with ``gammar_prod``."""
-
-        def solve() -> int:
-            g = self.g
-            self.prod_k2()  # in the witnesses whenever gamma_R(G x K2) is read
-            return self._pair_value(
-                "gammar_prod",
-                CARTESIAN,
-                roman_domination_number,
-                _K2,
-                ("gammar_k2", g.canonical_form),
-                ("gammar_k2", g),
-                self.prod_k2,
-            )
-
-        return self._get(("gammar_k2",), solve)
+        """gamma_R(G x K2), the Cartesian pair {G, K2}: it shares its solves
+        with ``gammar_prod``."""
+        return self._get(
+            ("gammar_k2",),
+            lambda: self._pair_value("gammar_prod", CARTESIAN, roman_domination_number, _K2),
+        )
 
     def witness_payload(self) -> dict:
         """Serializable snapshot of everything solved so far, for violations."""
@@ -377,6 +309,9 @@ class Env:
         for kind in self._kinds:
             with suppress(CapacityError):
                 self.prod(kind)
+        if ("gammar_k2",) in self._memo:
+            with suppress(CapacityError):
+                self.prod_k2()
         for key, value in sorted(self._memo.items(), key=lambda kv: repr(kv[0])):
             name = "_".join(str(part) for part in key)
             if isinstance(value, Graph):
@@ -914,11 +849,9 @@ def _evaluate_env(tid: str, env: Env) -> BoundRecord:
         relation, lhs, rhs = spec.sides(env)
         sec_ok, note = spec.secondary(env) if spec.secondary is not None else (True, None)
     except BudgetExceeded as exc:
-        env.ran_out = True
         where = f"{reason};" if met else "hypothesis check:"
         return skipped("budget-skipped", met, f"{where} {exc}")
     except CapacityError as exc:
-        env.ran_out = True
         return skipped("budget-skipped", met, f"capacity: {exc}")
     holds = _REL[relation](lhs, rhs) and sec_ok
     witnesses = None if holds else env.witness_payload()
@@ -951,8 +884,9 @@ def evaluate(
 
     Unary checks take only ``g``; product checks take the ordered pair
     (g, h), with g in the role the statement's hypotheses constrain. It is
-    a one-item sweep: a product invariant that runs out of budget on G x H
-    is taken from H x G, as in ``run_suite``.
+    a one-item sweep with a solve memo of its own, so its values and
+    statuses are those of ``run_suite`` and do not depend on the argument
+    labelings.
     """
     ids = resolve_theorem_ids([theorem])
     spec = THEOREMS[ids[0]]
@@ -1026,9 +960,9 @@ def _run_item(args, memo: dict) -> list[BoundRecord]:
     records' rows (``_row``) kept in ``memo``, under its kind (the checks and
     budget are fixed per kind in a sweep) and the two classes in order; a
     later labeling gets them with only ``g`` and ``h`` renamed. They are kept
-    only when the Env never ran out (no budget-skipped record, no labeled
-    fallback: see ``Env``) and no record carries witnesses, which are
-    labeled; otherwise each labeling is evaluated on its own.
+    unless the Env read a labeled object (see ``Env``) or a record carries
+    witnesses, which are labeled; then each labeling is evaluated on its
+    own.
 
     A check that raises anything but BudgetExceeded or CapacityError (which
     become skipped records, or pass through) is reported as a RomdomError
@@ -1055,7 +989,7 @@ def _run_item(args, memo: dict) -> list[BoundRecord]:
         raise RomdomError(
             f"{kind} item {where}: check {tid} raised {type(exc).__name__}: {exc}"
         ) from exc
-    if not env.ran_out and all(rec.witnesses is None for rec in records):
+    if not env.read_labeled and all(rec.witnesses is None for rec in records):
         # each row interned: the report has few distinct rows. A column
         # holds one type (bool or int, never both), so equal rows have equal
         # values; True == 1 cannot alias.
@@ -1100,10 +1034,9 @@ def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[BoundRecord]:
     tasks in order of first appearance (ordered ``imap``), and a task's
     records are yielded when their turn in the report comes. Either way
     each class is solved once per factor invariant and each class pair once
-    per kind, while it succeeds (see ``Env``): a solved value depends on
-    class keys only and a failure on labeled keys, so the order of the items
-    changes no record. While nothing runs out, each ordered class item is
-    evaluated once too (see ``_run_item``).
+    per kind (see ``Env``): a value and a failure depend on class keys only,
+    so the order of the items changes no record. Each ordered class item is
+    evaluated once too, bar labeled reads and witnesses (see ``_run_item``).
     """
     if jobs > 1:
         tasks: dict = {}  # task key -> its items, in report order

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .config import max_width
+from .config import DEFAULT_MAX_WIDTH
 from .errors import CapacityError, ParameterError
 
 CARTESIAN = "cartesian"
@@ -48,10 +48,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("graph needs at least one vertex")
-        width = max_width()
-        if self.n > width:
+        if self.n > DEFAULT_MAX_WIDTH:
             raise CapacityError(
-                f"graph on {self.n} vertices exceeds the configured width {width}"
+                f"graph on {self.n} vertices exceeds the configured width {DEFAULT_MAX_WIDTH}"
             )
         if len(self.adj) != self.n:
             raise ParameterError("adjacency row count differs from vertex count")
@@ -330,10 +329,9 @@ def product(g: Graph, h: Graph, kind: str) -> Graph:
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r}")
     n = g.n * h.n
-    width = max_width()
-    if n > width:
+    if n > DEFAULT_MAX_WIDTH:
         raise CapacityError(
-            f"product on {n} vertices exceeds the configured width {width}"
+            f"product on {n} vertices exceeds the configured width {DEFAULT_MAX_WIDTH}"
         )
     strong = kind == STRONG
     n2 = h.n

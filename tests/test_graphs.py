@@ -66,13 +66,10 @@ def test_empty_graph_rejected():
         Graph(0, ())
 
 
-def test_capacity_guard(monkeypatch):
-    monkeypatch.setenv("ROMDOM_MAX_WIDTH", "10")
+def test_capacity_guard():
+    from_edges(64, [])
     with pytest.raises(CapacityError):
-        from_edges(11, [])
-    monkeypatch.setenv("ROMDOM_MAX_WIDTH", "not-a-number")
-    with pytest.raises(ParameterError):
-        from_edges(2, [])
+        from_edges(65, [])
 
 
 def test_bits_and_mask_roundtrip():

@@ -20,9 +20,13 @@ parameters and runs one branch-and-bound over S. Each node resolves the
 lowest-index vertex v that is neither dominated nor already charged a miss:
 either some allowed member of N[v] joins S (cost pick), and is refused to
 the later siblings, or none ever does and v is charged miss. When miss is
-set, every such vertex with no allowed member of its closed neighborhood is
-charged at once; for gamma the node dies when the local bound's scan (below)
-finds one.
+set, the search carries the mask reach of the vertices that still have an
+allowed member of their closed neighborhood, and a node charges every
+unresolved vertex outside reach at once, with one popcount. reach shrinks
+only when a candidate becomes refused: tried, or skipped by the orbit or
+dominance cut (below). Then only members of its closed neighborhood can
+lose their last allowed dominator, and those that do drop out. For gamma
+the node dies when the local bound's scan (below) finds such a vertex.
 
 Greedy seed. Before the search, ``_greedy_cover`` builds one solution with
 the classical greedy cover (Johnson 1974; Chvatal 1979): it takes the
@@ -47,13 +51,21 @@ the covering LP, and the rest costs at least |T|. For gamma (capacity 1)
 the members of T need distinct members of S. For gamma_R (capacity 2) a
 member of S costs 2 and dominates at most two members of T, and a member
 of T outside N[S] pays its miss of 1, so each costs at least 1 again. T
-is built greedily in index order, with one mask of the allowed vertices
-that dominate at least one member of T and one of those that dominate two;
-a vertex joins T unless one of its allowed dominators is saturated (the
-first mask for gamma, the second for gamma_R). The node dies as soon as
-|T| reaches best - cost. This walk is bit operations only and runs first.
+is built greedily, with one mask of the allowed vertices that dominate at
+least one member of T and one of those that dominate two; a vertex joins T
+unless one of its allowed dominators is saturated (the first mask for
+gamma, the second for gamma_R). The node dies as soon as |T| reaches
+best - cost. Any walk order gives a valid T, so two walks run. The first
+takes the unresolved vertices in index order. When it does not prune, the
+second takes them again, fewest allowed dominators first and index order
+on ties: the min-degree greedy for independent sets (Halldorsson &
+Radhakrishnan, Algorithmica 18, 1997). As the second walk it about halves
+the nodes on seeded random graphs. Alone it loses on hypercubes, which is
+why the index walk stays first: gamma_R(Q6) takes 72,876 nodes with the
+index walk alone, 80,872 with the sorted walk alone (and more CPU), and
+58,061 with both. The walks are bit operations only and run first.
 
-Local bound. When the walk does not prune, the node sums a fractional point
+Local bound. When neither walk prunes, the node sums a fractional point
 of the same dual (the fractional-domination dual; Grinstead & Slater,
 Congr. Numer. 71, 1990). Let U be the unresolved vertices, c_u the number
 of them that an allowed vertex u dominates, and c(v) the largest c_u over
@@ -240,7 +252,7 @@ def _cover_search(
     # orbit cut once the search has spent n^2 nodes
     gens: Optional[list[tuple[list[int], int]]] = None
 
-    def dfs(smask: int, covered: int, ones: int, excluded: int, cost: int) -> None:
+    def dfs(smask: int, covered: int, ones: int, excluded: int, cost: int, reach: int) -> None:
         nonlocal best, gens
         ctr.nodes += 1
         if ctr.limit is not None and ctr.nodes > ctr.limit:
@@ -250,16 +262,14 @@ def _cover_search(
         allowed = full & ~excluded
         undom = full & ~covered & ~ones
         if miss is not None:
-            t = undom
-            while t:
-                lsb = t & -t
-                t ^= lsb
-                if not adjc[lsb.bit_length() - 1] & allowed:
-                    ones |= lsb
-                    undom ^= lsb
-                    cost += miss
-                    if cost >= best:
-                        return
+            # reach: the vertices with an allowed dominator left
+            lost = undom & ~reach
+            if lost:
+                ones |= lost
+                undom ^= lost
+                cost += miss * lost.bit_count()
+                if cost >= best:
+                    return
         if not undom:
             if optimum is None:
                 best = cost
@@ -272,11 +282,23 @@ def _cover_search(
         # at least one and two members of T
         need = best - cost
         one = two = 0
+        doms = []  # the allowed dominators of each unresolved vertex
         t = undom
         while t:
             lsb = t & -t
             t ^= lsb
             d = adjc[lsb.bit_length() - 1] & allowed
+            doms.append(d)
+            if not d & (one if pick == 1 else two):
+                need -= 1
+                if not need:
+                    return
+                two |= one & d
+                one |= d
+        # the second walk: fewest allowed dominators first, index order on ties
+        need = best - cost
+        one = two = 0
+        for d in sorted(doms, key=int.bit_count):
             if not d & (one if pick == 1 else two):
                 need -= 1
                 if not need:
@@ -330,26 +352,34 @@ def _cover_search(
                     dom &= adjc[w.bit_length() - 1]
                 if dom:
                     tried |= lsb
-                    ex |= lsb
-                    continue
-                dfs(smask | lsb, covered | nb, ones, ex, cost + pick)
-                if gens is None and optimum is None and ctr.nodes > n * n:
-                    gens = [(p, mask_of(w for w in range(n) if p[w] != w))
-                            for p in g._symmetry[1]]
-                if gens is not None:
-                    fixed = smask | excluded
-                    if stab is None:
-                        stab = [p for p, moved in gens if not moved & fixed]
-                    new = (ex | lsb) & ~excluded & ~tried
-                    tried |= _orbit(stab, new) if stab else new
-                    if not fixed and tried == full:
-                        return
+                else:
+                    dfs(smask | lsb, covered | nb, ones, ex, cost + pick, reach)
+                    if gens is None and optimum is None and ctr.nodes > n * n:
+                        gens = [(p, mask_of(w for w in range(n) if p[w] != w))
+                                for p in g._symmetry[1]]
+                    if gens is not None:
+                        fixed = smask | excluded
+                        if stab is None:
+                            stab = [p for p, moved in gens if not moved & fixed]
+                        new = (ex | lsb) & ~excluded & ~tried
+                        tried |= _orbit(stab, new) if stab else new
+                        if not fixed and tried == full:
+                            return
             ex |= lsb
+            if miss is not None:
+                # lsb is refused: drop from reach the members of its closed
+                # neighborhood that have no allowed dominator left
+                t = adjc[lsb.bit_length() - 1] & reach
+                while t:
+                    w = t & -t
+                    t ^= w
+                    if not adjc[w.bit_length() - 1] & ~ex:
+                        reach ^= w
         if miss is not None:
             # no allowed neighbor of v ever joins S: v is charged miss
-            dfs(smask, covered, ones | v, ex, cost + miss)
+            dfs(smask, covered, ones | v, ex, cost + miss, reach)
 
-    dfs(0, 0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0, full)
     return best if optimum is None else optimum, leaves, ctr.nodes
 
 

@@ -18,6 +18,7 @@ from romdom import (
     CARTESIAN,
     PRODUCT_KINDS,
     BudgetExceeded,
+    Graph,
     ParameterError,
     RomanFunction,
     bits,
@@ -271,12 +272,34 @@ def test_gamma_r_of_q6_is_24():
     for k in (9, 10, 11):
         assert not brute_covers(n, edges, k, 41 + 2 * k), k
     # the greedy seed already weighs 24, so the search only proves it; the
-    # node pin guards the instance the families sweep spends most on
+    # node pin guards Q6 in hypercube(6)'s labeling (72,876 nodes with the
+    # index packing walk alone, 80,872 with the fewest-dominators walk
+    # alone). The families sweep solves another labeling: ORBIT_CUT_CASES'
+    # Q3xQ3
     res = roman_domination_number(g, budget=2_000_000)
     labels = res.witness.labels
-    assert (res.value, sum(labels), res.node_count) == (24, 24, 72_876)
+    assert (res.value, sum(labels), res.node_count) == (24, 24, 58_061)
     for v in range(n):
         assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
+
+
+def test_packing_walks_on_random_graphs():
+    # eight seeded G(30, 75) graphs, the size of kernel-hard's random
+    # instances: irregular, so the packing bound's fewest-dominators walk
+    # prunes where the index walk does not. The index walk alone took 1,504
+    # gamma and 2,942 gamma_R nodes to the same values
+    pairs = [(u, v) for v in range(1, 30) for u in range(v)]
+    values, nodes, nodes_r = [], 0, 0
+    for seed in range(8):
+        g = from_edges(30, random.Random(f"nodes:{seed}").sample(pairs, 75))
+        res = domination_number(g)
+        res_r = roman_domination_number(g)
+        assert validate_rdf(g, res_r.witness) and res_r.witness.weight == res_r.value
+        values.append((res.value, res_r.value))
+        nodes += res.node_count
+        nodes_r += res_r.node_count
+    assert values == [(6, 12), (6, 12), (6, 11), (7, 12), (6, 11), (7, 12), (6, 12), (6, 11)]
+    assert (nodes, nodes_r) == (879, 1_200)
 
 
 def test_efficient_dominating_sets_have_size_gamma():
@@ -346,26 +369,32 @@ def test_node_counts_are_reported():
 
 # Values and witnesses from before any symmetry cut, and the exact node counts
 # the covering search takes with the greedy seed, the orbit and dominance
-# cuts, the packing bound and the local bound, so that any change to its
-# branching, seed, bounds or cuts shows up here. P4xC5, and gamma of C6xC7 and of Q3xC5, stop
-# before the n^2 nodes that load the generators; P5xQ3 is not transitive and
-# has 96 automorphisms.
+# cuts, the packing bound's two walks and the local bound, so that any change
+# to its branching, seed, bounds or cuts shows up here. P4xC5, and gamma of
+# C6xC7 and of Q3xC5, stop before the n^2 nodes that load the generators;
+# P5xQ3 is not transitive and has 96 automorphisms. Q3xQ3 is Q6 as the
+# families sweep solves it, on two canonical Q3s: another tree than
+# hypercube(6)'s, which took 5,352 and 62,701 nodes with the index packing
+# walk alone.
+_CANONICAL_Q3 = Graph(8, hypercube(3).canonical_form)
 ORBIT_CUT_CASES = [
-    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 1091,
-     20, "220200000000200020000200020200200000000020", 1812),
-    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 587,
-     16, "2020020000000000002000000000200200202000", 1671),
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 924,
+     20, "220200000000200020000200020200200000000020", 1909),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 532,
+     16, "2020020000000000002000000000200200202000", 1267),
     (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 96,
      10, "20010002000000202010", 53),
     (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 2743,
-     18, "2200000000000022200000000002020020000020", 10284),
+     18, "2200000000000022200000000002020020000020", 9924),
+    (_CANONICAL_Q3, _CANONICAL_Q3, 12, [0, 1, 8, 9, 18, 19, 31, 39, 45, 46, 52, 60], 5268,
+     24, "2200000022000000002200000000000200000002000002200000200000002000", 46861),
 ]
 
 
 @pytest.mark.parametrize(
     "g, h, gamma, witness, nodes, gamma_r, labels, nodes_r",
     ORBIT_CUT_CASES,
-    ids=["C6xC7", "Q3xC5", "P4xC5", "P5xQ3"],
+    ids=["C6xC7", "Q3xC5", "P4xC5", "P5xQ3", "Q3xQ3"],
 )
 def test_orbit_cut_keeps_values_and_witnesses(
     g, h, gamma, witness, nodes, gamma_r, labels, nodes_r

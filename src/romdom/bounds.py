@@ -130,6 +130,10 @@ class Env:
         self.budget = budget
         self._memo: dict = {}
         self._sweep: dict = {}
+        # one product graph per (kind, first, second) of ``_component_pair``,
+        # so its gamma and gamma_R share one automorphism search; kept out of
+        # ``_memo``, whose graphs ``witness_payload`` writes
+        self._pairs: dict = {}
         self._kinds: set = set()  # product kinds an invariant was read on
         self.read_labeled = False
 
@@ -196,8 +200,15 @@ class Env:
         return _memoized(
             self._sweep,
             ("part", name, kind, frozenset((a.adj, b.adj))),
-            lambda: solver(product(first, second, kind), self.budget).value,
+            lambda: solver(self._pair_graph(kind, first, second), self.budget).value,
         )
+
+    def _pair_graph(self, kind: str, first: Graph, second: Graph) -> Graph:
+        key = (kind, first.adj, second.adj)
+        prod = self._pairs.get(key)
+        if prod is None:
+            prod = self._pairs[key] = product(first, second, kind)
+        return prod
 
     # -- factor invariants
 

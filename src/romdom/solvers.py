@@ -106,13 +106,17 @@ starts, so the miss branch is skipped too. With a greedy seed below n the
 incumbent in place is the seed's bound instead, and the skip stays sound:
 S = empty costs n > seed >= optimum, so it is not optimal, and the finished
 branches hold an optimal completion. On a vertex-transitive graph the
-root thus returns after its first branch to return once the generators are
-loaded. Witnesses do not change: the incumbent is replaced only on a strict
-improvement, so it is still the first optimum in search order. The
-generators (from the canonical-form search, cached per graph, with the
-support of each) cost more than a small search saves, so they are loaded
-only once the search has spent n^2 nodes; a node picks its own from them
-when its first candidate returns after that.
+root thus returns after its first branch. Witnesses do not change: the
+incumbent is replaced only on a strict improvement, so it is still the
+first optimum in search order. The generators come from the canonical-form
+search, cached per graph object (``Graph._symmetry``). A search that wants
+one optimum loads them, with the support of each, when the first candidate
+branch anywhere in its tree returns, and a node picks its own from them
+when its own first candidate returns. The canonical-form search costs about
+as much as 20 to 150 kernel nodes on the 20- to 42-vertex products of the
+sweeps, and ``bounds.Env`` solves gamma and gamma_R of a class pair on one
+product graph, so the two share it. The enumeration run (optimal ties)
+loads none.
 
 Dominance cut. A candidate x of the branch vertex v is skipped when some
 refused u in N[v] dominates every unresolved vertex that x dominates: N[x]
@@ -249,7 +253,7 @@ def _cover_search(
         best = optimum + 1
         leaves = []
     # automorphism generators with the vertices each moves, loaded for the
-    # orbit cut once the search has spent n^2 nodes
+    # orbit cut when the first candidate's branch returns
     gens: Optional[list[tuple[list[int], int]]] = None
 
     def dfs(smask: int, covered: int, ones: int, excluded: int, cost: int, reach: int) -> None:
@@ -354,7 +358,7 @@ def _cover_search(
                     tried |= lsb
                 else:
                     dfs(smask | lsb, covered | nb, ones, ex, cost + pick, reach)
-                    if gens is None and optimum is None and ctr.nodes > n * n:
+                    if gens is None and optimum is None:
                         gens = [(p, mask_of(w for w in range(n) if p[w] != w))
                                 for p in g._symmetry[1]]
                     if gens is not None:

@@ -47,6 +47,7 @@ from romdom import (
     write_report,
 )
 from romdom import bounds, solvers
+from romdom.graphs import _individualize_refine
 
 UNARY_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind is None]
 CART_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind == CARTESIAN]
@@ -525,6 +526,29 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
     assert (calls["domination_number"], calls["roman_domination_number"]) == (16, 16)
 
 
+def test_one_automorphism_search_per_product(monkeypatch):
+    # gamma and gamma_R of a class pair solve one product graph of the Env,
+    # so the orbit cut's generators come from one canonical-form search on it
+    searched, solved = [], []
+
+    def counted(adj):
+        searched.append(len(adj))
+        return _individualize_refine(adj)
+
+    monkeypatch.setattr("romdom.graphs._individualize_refine", counted)
+    for name in ("domination_number", "roman_domination_number"):
+        solve = getattr(bounds, name)
+
+        def logged(g, *args, _solve=solve, _name=name):
+            solved.append((_name, g.n))
+            return _solve(g, *args)
+
+        monkeypatch.setattr(bounds, name, logged)
+    bounds._run_item((cycle(6), cycle(7), CART_IDS, None), {})
+    assert solved.count(("domination_number", 42)) == solved.count(("roman_domination_number", 42)) == 1
+    assert searched.count(42) == 1
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="workers see the logging wrappers only when forked",
@@ -546,12 +570,13 @@ def test_workers_solve_each_product_once(monkeypatch, tmp_path):
     assert set(solves[2]) == set(solves[1])
 
 
-# gamma_R(P5 x K4) on the canonical graphs, P5 first, takes 212 nodes; the
-# test checks that premise first
-CLASS_PAIR_NODES = 212
+# gamma_R(P5 x K4) on the canonical graphs, P5 first, takes 73 nodes (212
+# with the orbit cut's generators loaded only after n^2 nodes); the test
+# checks that premise first
+CLASS_PAIR_NODES = 73
 
 
-@pytest.mark.parametrize("budget", [CLASS_PAIR_NODES - 1, CLASS_PAIR_NODES])
+@pytest.mark.parametrize("budget", [CLASS_PAIR_NODES - 1, CLASS_PAIR_NODES], ids=["short", "exact"])
 @pytest.mark.parametrize("order", [(path(5), complete(4)), (complete(4), path(5))],
                          ids=["P5-first", "K4-first"])
 def test_budget_outcome_is_shared_across_orientations(monkeypatch, order, budget):

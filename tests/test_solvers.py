@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from romdom import (
     CARTESIAN,
     PRODUCT_KINDS,
+    STRONG,
     BudgetExceeded,
     Graph,
     ParameterError,
@@ -229,11 +230,33 @@ def _first_optimum_graphs() -> list[tuple[int, list[tuple[int, int]]]]:
     return graphs
 
 
+def _symmetric_graphs() -> list[Graph]:
+    """13 graphs on at most 12 vertices with many automorphisms, so the
+    orbit cut skips candidates in small searches: C12, Q3, products and the
+    Petersen graph."""
+    k2 = complete(2)
+    cartesian = [
+        (cycle(3), cycle(4)), (cycle(4), cycle(3)), (k2, cycle(6)), (path(3), path(4)),
+        (complete(3), complete(4)), (cycle(5), k2), (product(k2, k2, CARTESIAN), complete(3)),
+    ]
+    strong = [(k2, cycle(5)), (cycle(3), cycle(4)), (path(3), cycle(4))]
+    spokes = [(v, (v + 1) % 5) for v in range(5)] + [(v, 5 + v) for v in range(5)]
+    petersen = from_edges(10, spokes + [(5 + v, 5 + (v + 2) % 5) for v in range(5)])
+    return [
+        cycle(12),
+        hypercube(3),
+        *(product(g, h, CARTESIAN) for g, h in cartesian),
+        *(product(g, h, STRONG) for g, h in strong),
+        petersen,
+    ]
+
+
 def test_witnesses_are_the_first_optimum_in_search_order():
     # the kernel's cuts skip branches but never the first optimal leaf, so
     # both witnesses are the oracle's first optimum in path order, on all
-    # 1,099 labeled graphs on at most 5 vertices and 150 seeded graphs
-    labeled = [(g.n, g.edges()) for g in exhaustive_corpus(5)]
+    # 1,099 labeled graphs on at most 5 vertices, 150 seeded graphs and 13
+    # symmetric ones
+    labeled = [(g.n, g.edges()) for g in [*exhaustive_corpus(5), *_symmetric_graphs()]]
     for n, edges in [*labeled, *_first_optimum_graphs()]:
         g = from_edges(n, edges)
         res = domination_number(g)
@@ -274,11 +297,11 @@ def test_gamma_r_of_q6_is_24():
     # the greedy seed already weighs 24, so the search only proves it; the
     # node pin guards Q6 in hypercube(6)'s labeling (72,876 nodes with the
     # index packing walk alone, 80,872 with the fewest-dominators walk
-    # alone). The families sweep solves another labeling: ORBIT_CUT_CASES'
-    # Q3xQ3
+    # alone, 58,061 with the generators loaded only after n^2 nodes). The
+    # families sweep solves another labeling: ORBIT_CUT_CASES' Q3xQ3
     res = roman_domination_number(g, budget=2_000_000)
     labels = res.witness.labels
-    assert (res.value, sum(labels), res.node_count) == (24, 24, 58_061)
+    assert (res.value, sum(labels), res.node_count) == (24, 24, 56_990)
     for v in range(n):
         assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
 
@@ -370,24 +393,27 @@ def test_node_counts_are_reported():
 # Values and witnesses from before any symmetry cut, and the exact node counts
 # the covering search takes with the greedy seed, the orbit and dominance
 # cuts, the packing bound's two walks and the local bound, so that any change
-# to its branching, seed, bounds or cuts shows up here. P4xC5, and gamma of
-# C6xC7 and of Q3xC5, stop before the n^2 nodes that load the generators;
-# P5xQ3 is not transitive and has 96 automorphisms. Q3xQ3 is Q6 as the
-# families sweep solves it, on two canonical Q3s: another tree than
+# to its branching, seed, bounds or cuts shows up here. The generators load
+# when the first candidate's branch returns, so the cut runs in every one of
+# these searches; with the generators loaded only after n^2 nodes, gamma and
+# gamma_R took 924 and 1,909 nodes on C6xC7, 532 and 1,267 on Q3xC5, 96 and
+# 53 on P4xC5, and 5,268 and 46,861 on Q3xQ3. P5xQ3 is not transitive and
+# has 96 automorphisms, and its counts are the same either way. Q3xQ3 is Q6
+# as the families sweep solves it, on two canonical Q3s: another tree than
 # hypercube(6)'s, which took 5,352 and 62,701 nodes with the index packing
 # walk alone.
 _CANONICAL_Q3 = Graph(8, hypercube(3).canonical_form)
 ORBIT_CUT_CASES = [
-    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 924,
-     20, "220200000000200020000200020200200000000020", 1909),
-    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 532,
-     16, "2020020000000000002000000000200200202000", 1267),
-    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 96,
-     10, "20010002000000202010", 53),
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 366,
+     20, "220200000000200020000200020200200000000020", 778),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 165,
+     16, "2020020000000000002000000000200200202000", 277),
+    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 52,
+     10, "20010002000000202010", 41),
     (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 2743,
      18, "2200000000000022200000000002020020000020", 9924),
-    (_CANONICAL_Q3, _CANONICAL_Q3, 12, [0, 1, 8, 9, 18, 19, 31, 39, 45, 46, 52, 60], 5268,
-     24, "2200000022000000002200000000000200000002000002200000200000002000", 46861),
+    (_CANONICAL_Q3, _CANONICAL_Q3, 12, [0, 1, 8, 9, 18, 19, 31, 39, 45, 46, 52, 60], 2906,
+     24, "2200000022000000002200000000000200000002000002200000200000002000", 45587),
 ]
 
 
@@ -412,20 +438,21 @@ def test_orbit_cut_on_k4_c11():
     # with the packing bound and a cut at the root alone, 15,674 with the
     # orbit cut at every node; the greedy seed is already optimal here, so
     # the tree is the proof, and the local bound and the dominance cut
-    # shrink it
+    # shrink it (3,984 nodes with the generators loaded only after n^2 nodes)
     res = domination_number(product(complete(4), cycle(11), CARTESIAN))
-    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 3984)
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 2640)
 
 
 def test_root_cut_needs_transitivity(monkeypatch):
     # C8xC6 with a pendant vertex 0 hung on vertex 1: the orbit of 0 is not
-    # all of V. The root's candidates are 0 and 1. Both searches pass n^2
-    # nodes inside the first root branch, so the root closes the pendant
-    # under the loaded generators; no other node can, since 0 is in S or
-    # refused below the root. The recorded closures keep that premise. A
-    # dominating set or Roman function of the pendant graph moves whatever
-    # it puts on 0 to the hub 1 at no cost, and some optimum of C8xC6, which
-    # is vertex-transitive, holds the hub, so both values stay C8xC6's
+    # all of V. The root's candidates are 0 and 1. The generators load when
+    # the search's first branch returns, so the root closes the pendant under
+    # them once its own first branch returns; no other node can, since 0 is
+    # in S or refused below the root. The recorded closures keep that
+    # premise. A dominating set or Roman function of the pendant graph moves
+    # whatever it puts on 0 to the hub 1 at no cost, and some optimum of
+    # C8xC6, which is vertex-transitive, holds the hub, so both values stay
+    # C8xC6's
     g = product(cycle(8), cycle(6), CARTESIAN)
     h = from_edges(g.n + 1, [(u + 1, v + 1) for u, v in g.edges()] + [(0, 1)])
     assert _orbit(h._symmetry[1], 1) != h.full_mask

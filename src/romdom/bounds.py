@@ -1009,10 +1009,23 @@ def _run_item(args, memo: dict) -> list[BoundRecord]:
     return records
 
 
-def _run_task(items) -> list[list[BoundRecord]]:
-    """Each item's records, all through one fresh solve memo."""
-    memo: dict = {}
-    return [_run_item(item, memo) for item in items]
+# the solve memo of a pool worker: set by ``_start_worker`` in each worker
+# and never in the parent process
+_worker_memo: Optional[dict] = None
+
+
+def _start_worker() -> None:
+    """Pool initializer: give this worker a fresh solve memo for its pool."""
+    global _worker_memo
+    _worker_memo = {}
+
+
+def _run_task(items) -> list[list[tuple]]:
+    """Each item's records as plain tuples (``BoundRecord._make`` rebuilds
+    them), all through the worker's solve memo, which lasts as long as its
+    pool: one sweep with one budget. Plain tuples pickle without a
+    ``__new__`` call per record."""
+    return [list(map(tuple, _run_item(item, _worker_memo))) for item in items]
 
 
 def _items(spec: SuiteSpec) -> Iterator[tuple]:
@@ -1041,13 +1054,16 @@ def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[BoundRecord]:
     in report order as they are evaluated.
 
     Serially every item runs in report order through one solve memo. With
-    ``jobs > 1`` each task runs through its own memo in a process pool, the
-    tasks in order of first appearance (ordered ``imap``), and a task's
+    ``jobs > 1`` the tasks run in a pool of at most ``jobs`` processes, in
+    order of first appearance (ordered ``imap``), each worker's tasks
+    through one solve memo that lasts as long as the pool, and a task's
     records are yielded when their turn in the report comes. Either way
-    each class is solved once per factor invariant and each class pair once
-    per kind (see ``Env``): a value and a failure depend on class keys only,
-    so the order of the items changes no record. Each ordered class item is
-    evaluated once too, bar labeled reads and witnesses (see ``_run_item``).
+    each process solves each class once per factor invariant and each class
+    pair once per kind (see ``Env``): a value and a failure depend on class
+    keys and the sweep's budget only, so neither the order of the items nor
+    the worker that runs them changes a record. Each ordered class item is
+    evaluated once per process too, bar labeled reads and witnesses (see
+    ``_run_item``).
     """
     if jobs > 1:
         tasks: dict = {}  # task key -> its items, in report order
@@ -1062,8 +1078,9 @@ def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[BoundRecord]:
 
 
 def _pooled_records(spec: SuiteSpec, tasks: dict, jobs: int) -> Iterator[BoundRecord]:
-    """The records of ``tasks`` run in a pool of ``jobs`` workers, in report order."""
-    with multiprocessing.Pool(jobs) as pool:
+    """The records of ``tasks`` run in a pool of at most ``jobs`` workers, in
+    report order."""
+    with multiprocessing.Pool(min(jobs, len(tasks)), _start_worker) as pool:
         done = pool.imap(_run_task, tasks.values(), chunksize=1)
         arrived = iter(tasks)  # the task keys, in the order imap returns them
         waiting: dict = {}  # task key -> its items' records not yet yielded
@@ -1072,7 +1089,7 @@ def _pooled_records(spec: SuiteSpec, tasks: dict, jobs: int) -> Iterator[BoundRe
             while key not in waiting:
                 waiting[next(arrived)] = collections.deque(next(done))
             left = waiting[key]
-            yield from left.popleft()
+            yield from map(BoundRecord._make, left.popleft())
             if not left:
                 del waiting[key]
 

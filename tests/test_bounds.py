@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
 import traceback
 
 import pytest
@@ -352,14 +353,15 @@ def _fresh_records(graphs, budget=None):
 
 def _log_solver_calls(monkeypatch, log, products_only):
     """Wrap bounds' gamma and gamma_R solvers so that every call, in any
-    forked worker too, appends the solver's name and graph to ``log``."""
+    forked worker too, appends the process id, the solver's name and the
+    graph to ``log``."""
     for name in ("domination_number", "roman_domination_number"):
         solve = getattr(bounds, name)
 
         def logged(g, *args, _solve=solve, _name=name, **kwargs):
             if not products_only or " x " in g.name():
                 with open(log, "a", encoding="ascii") as fh:
-                    fh.write(f"{_name} {g.name()}\n")
+                    fh.write(f"{os.getpid()} {_name} {g.name()}\n")
             return _solve(g, *args, **kwargs)
 
         monkeypatch.setattr(bounds, name, logged)
@@ -554,20 +556,22 @@ def test_one_automorphism_search_per_product(monkeypatch):
     reason="workers see the logging wrappers only when forked",
 )
 def test_workers_solve_each_product_once(monkeypatch, tmp_path):
-    # the workers solve the serial sweep's products, and the serial sweep
-    # solves each once; a class pair read by several tasks (a component pair
-    # of K2+K1, or {G, K2} for gamma_R(G x K2)) may be solved again by each,
-    # so --jobs 2 makes 120 solves
+    # the workers solve the serial sweep's products, and each worker solves
+    # each at most once: its solve memo lasts as long as the pool. A class
+    # pair read by tasks of both workers (a component pair of K2+K1, or
+    # {G, K2} for gamma_R(G x K2)) is solved once in each, so --jobs 2 makes
+    # between 85 and twice that, as the tasks fall: 93 to 106 in 12 runs
     spec = SuiteSpec(graphs=tuple(default_corpus()), max_product=12)
     log = tmp_path / "solves.txt"
     _log_solver_calls(monkeypatch, log, products_only=True)
     solves = {}
     for jobs in (1, 2):
         run_suite(spec, jobs=jobs)
-        solves[jobs] = log.read_text().splitlines()
+        solves[jobs] = [tuple(line.split(" ", 1)) for line in log.read_text().splitlines()]
         log.unlink()
-    assert len(solves[1]) == len(set(solves[1])) == 85
-    assert set(solves[2]) == set(solves[1])
+    assert len(solves[1]) == len({solve for _, solve in solves[1]}) == 85
+    assert len(solves[2]) == len(set(solves[2]))
+    assert {solve for _, solve in solves[2]} == {solve for _, solve in solves[1]}
 
 
 # gamma_R(P5 x K4) on the canonical graphs, P5 first, takes 73 nodes (212
@@ -605,6 +609,41 @@ def test_budget_outcome_is_shared_across_orientations(monkeypatch, order, budget
     fresh = [r for r in _fresh_records(order, budget) if r["kind"] != "strong"]
     assert report["records"] == fresh
     assert report_to_json(run_suite(spec, jobs=2)) == report_to_json(report)
+
+
+def test_worker_memo_ends_with_its_pool():
+    # two pooled sweeps back to back, the first one node short of the class
+    # pair's gamma_R: a worker memo that outlived its pool would carry that
+    # BudgetExceeded, kept under a class key, into the second sweep
+    specs = [
+        SuiteSpec(graphs=(path(5), complete(4)), products=(CARTESIAN,), budget=budget)
+        for budget in (CLASS_PAIR_NODES - 1, CLASS_PAIR_NODES)
+    ]
+    pooled = [report_to_json(run_suite(spec, jobs=2)) for spec in specs]
+    serial = [run_suite(spec) for spec in specs]
+    assert pooled == [report_to_json(report) for report in serial]
+    skipped = [
+        {(r["g"], r["h"]) for r in report["records"] if r["status"] == "budget-skipped"}
+        for report in serial
+    ]
+    assert skipped[0] - skipped[1] == {("P5", "K4"), ("K4", "P5")}
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    requested = []
+    pool = multiprocessing.Pool
+
+    def recorded(processes, *args, **kwargs):
+        requested.append(processes)
+        return pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(bounds.multiprocessing, "Pool", recorded)
+    # two tasks: the unary items of P3's class and the Cartesian pair {P3, P3}
+    spec = SuiteSpec(graphs=(path(3), from_edges(3, [(0, 2), (2, 1)], "P3'")), products=(CARTESIAN,))
+    assert len({key for key, _ in bounds._items(spec)}) == 2
+    report = run_suite(spec, jobs=4)
+    assert requested == [2]
+    assert report_to_json(report) == report_to_json(run_suite(spec))
 
 
 def test_memoized_failure_keeps_its_traceback_short():

@@ -45,6 +45,7 @@ from .graphs import (
     is_connected,
     is_cycle_graph,
     is_path_graph,
+    lift_automorphisms,
     product,
 )
 from .solvers import (
@@ -95,6 +96,11 @@ def _component_classes(g: Graph) -> tuple[Graph, ...]:
     return tuple(Graph(p.n, p.canonical_form) for p in parts)
 
 
+def _pair_product(kind: str, first: Graph, second: Graph) -> Graph:
+    """The product ``Env._component_pair`` solves, its generators lifted from its factors."""
+    return lift_automorphisms(product(first, second, kind), first, second)
+
+
 class Env:
     """Memoized invariants for one instance (a graph, or an ordered pair).
 
@@ -116,7 +122,8 @@ class Env:
     - A pair is the sum, over the pairs of its factors' component classes,
       of ``_component_pair``: each term is kept under ``("part", name,
       kind, classes)`` for its unordered class pair. A connected pair is the
-      one-term case.
+      one-term case. Each solve builds its product afresh (``_pair_product``),
+      and no canonical-form search runs on it.
 
     So every labeling of a class (pair) reads the same values and meets the
     same failures, in every task. The one labeled object a check reads, the
@@ -130,10 +137,6 @@ class Env:
         self.budget = budget
         self._memo: dict = {}
         self._sweep: dict = {}
-        # one product graph per (kind, first, second) of ``_component_pair``,
-        # so its gamma and gamma_R share one automorphism search; kept out of
-        # ``_memo``, whose graphs ``witness_payload`` writes
-        self._pairs: dict = {}
         self._kinds: set = set()  # product kinds an invariant was read on
         self.read_labeled = False
 
@@ -200,15 +203,8 @@ class Env:
         return _memoized(
             self._sweep,
             ("part", name, kind, frozenset((a.adj, b.adj))),
-            lambda: solver(self._pair_graph(kind, first, second), self.budget).value,
+            lambda: solver(_pair_product(kind, first, second), self.budget).value,
         )
-
-    def _pair_graph(self, kind: str, first: Graph, second: Graph) -> Graph:
-        key = (kind, first.adj, second.adj)
-        prod = self._pairs.get(key)
-        if prod is None:
-            prod = self._pairs[key] = product(first, second, kind)
-        return prod
 
     # -- factor invariants
 
@@ -849,40 +845,25 @@ def _evaluate_env(tid: str, env: Env) -> BoundRecord:
     gname = env.g.name()
     hname = env.h.name() if env.h is not None else None
 
-    def skipped(status: str, met: Optional[bool], reason: str) -> BoundRecord:
-        return BoundRecord(tid, kind, gname, hname, status, met, reason)
+    def record(status: str, met: Optional[bool], reason: str, *checked) -> BoundRecord:
+        return BoundRecord(tid, kind, gname, hname, status, met, reason, *checked)
 
     met = None
     try:
         met, reason = spec.hypothesis(env)
         if not met:
-            return skipped("hypothesis-skipped", False, reason)
+            return record("hypothesis-skipped", False, reason)
         relation, lhs, rhs = spec.sides(env)
         sec_ok, note = spec.secondary(env) if spec.secondary is not None else (True, None)
     except BudgetExceeded as exc:
         where = f"{reason};" if met else "hypothesis check:"
-        return skipped("budget-skipped", met, f"{where} {exc}")
+        return record("budget-skipped", met, f"{where} {exc}")
     except CapacityError as exc:
-        return skipped("budget-skipped", met, f"capacity: {exc}")
+        return record("budget-skipped", met, f"capacity: {exc}")
     holds = _REL[relation](lhs, rhs) and sec_ok
     witnesses = None if holds else env.witness_payload()
-    return BoundRecord(
-        tid,
-        kind,
-        gname,
-        hname,
-        "checked",
-        True,
-        reason,
-        spec.scale,
-        lhs,
-        rhs,
-        relation,
-        holds,
-        lhs == rhs,
-        note,
-        witnesses,
-    )
+    checked = (spec.scale, lhs, rhs, relation, holds, lhs == rhs, note, witnesses)
+    return record("checked", True, reason, *checked)
 
 
 def evaluate(
@@ -931,11 +912,9 @@ def exhaustive_corpus(max_n: int) -> list[Graph]:
     """
     if max_n < 1:
         raise ParameterError("exhaustive corpus needs max_n >= 1")
-    pairs_by_n = {}
     out = []
     for n in range(1, max_n + 1):
         pairs = [(i, j) for j in range(1, n) for i in range(j)]
-        pairs_by_n[n] = pairs
         for mask in range(1 << len(pairs)):
             edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
             out.append(from_edges(n, edges, f"G{n}#{mask}"))

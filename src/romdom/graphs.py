@@ -102,6 +102,12 @@ class Graph:
         same tuple exactly when they are isomorphic (see ``_individualize_refine``)."""
         return self._symmetry[0]
 
+    @cached_property
+    def _automorphisms(self) -> list[list[int]]:
+        """The orbit cut's generators: the canonical-form search's, unless
+        ``lift_automorphisms`` set others."""
+        return self._symmetry[1]
+
     def name(self) -> str:
         """Printable descriptor: the label if set, else a graph6 string."""
         if self.label:
@@ -352,6 +358,18 @@ def product(g: Graph, h: Graph, kind: str) -> Graph:
             adj.append(m)
     label = f"{g.name()} x {h.name()} {kind}"
     return Graph(n, tuple(adj), label)
+
+
+def lift_automorphisms(prod: Graph, g: Graph, h: Graph) -> Graph:
+    """``prod``, a product of ``g`` and ``h`` of either kind, with the
+    factors' generators lifted as its orbit cut's (see ``solvers``)."""
+    m = h.n
+    cells = [(i, j) for i in range(g.n) for j in range(m)]
+    gens = [[p[i] * m + j for i, j in cells] for p in g._symmetry[1]]
+    gens += [[i * m + q[j] for i, j in cells] for q in h._symmetry[1]]
+    gens += [[j * m + i for i, j in cells]] if g.adj == h.adj else []
+    prod.__dict__["_automorphisms"] = gens  # where the cached property keeps its value
+    return prod
 
 
 def square(g: Graph) -> Graph:

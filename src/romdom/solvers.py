@@ -108,15 +108,19 @@ S = empty costs n > seed >= optimum, so it is not optimal, and the finished
 branches hold an optimal completion. On a vertex-transitive graph the
 root thus returns after its first branch. Witnesses do not change: the
 incumbent is replaced only on a strict improvement, so it is still the
-first optimum in search order. The generators come from the canonical-form
-search, cached per graph object (``Graph._symmetry``). A search that wants
-one optimum loads them, with the support of each, when the first candidate
-branch anywhere in its tree returns, and a node picks its own from them
-when its own first candidate returns. The canonical-form search costs about
-as much as 20 to 150 kernel nodes on the 20- to 42-vertex products of the
-sweeps, and ``bounds.Env`` solves gamma and gamma_R of a class pair on one
-product graph, so the two share it. The enumeration run (optimal ties)
-loads none.
+first optimum in search order. Each skip rests only on the automorphism
+behind it, so the cut is sound under any group of automorphisms. The
+generators are ``Graph._automorphisms``: the canonical-form search's,
+cached per graph object, or, on the products ``bounds.Env`` solves, the
+factors' own, lifted (``graphs.lift_automorphisms``): (i, j) -> (p[i], j)
+and (i, j) -> (i, q[j]) for each generator p of G and q of H, and (i, j)
+-> (j, i) when G and H are one canonical graph. For a Cartesian product of
+connected factors with no common prime factor these generate the whole
+group (Sabidussi, Math. Z. 72, 1960), else a subgroup; no search runs on
+the product. A search that wants one optimum loads them, with the support
+of each, when the first candidate branch anywhere in its tree returns, and
+a node picks its own from them when its own first candidate returns. The
+enumeration run (optimal ties) loads none.
 
 Dominance cut. A candidate x of the branch vertex v is skipped when some
 refused u in N[v] dominates every unresolved vertex that x dominates: N[x]
@@ -360,7 +364,7 @@ def _cover_search(
                     dfs(smask | lsb, covered | nb, ones, ex, cost + pick, reach)
                     if gens is None and optimum is None:
                         gens = [(p, mask_of(w for w in range(n) if p[w] != w))
-                                for p in g._symmetry[1]]
+                                for p in g._automorphisms]
                     if gens is not None:
                         fixed = smask | excluded
                         if stab is None:

@@ -34,6 +34,7 @@ from romdom import (
     evaluate,
     exhaustive_corpus,
     from_edges,
+    hypercube,
     is_connected,
     path,
     product,
@@ -48,7 +49,9 @@ from romdom import (
     write_report,
 )
 from romdom import bounds, solvers
-from romdom.graphs import _individualize_refine
+from romdom.graphs import _individualize_refine, bits
+
+from bruteforce import brute_first_optimum, brute_gamma, brute_gamma_r_subsets
 
 UNARY_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind is None]
 CART_IDS = [tid for tid in THEOREM_ORDER if THEOREMS[tid].kind == CARTESIAN]
@@ -528,9 +531,10 @@ def test_sweep_memo_solves_each_input_once(monkeypatch):
     assert (calls["domination_number"], calls["roman_domination_number"]) == (16, 16)
 
 
-def test_one_automorphism_search_per_product(monkeypatch):
-    # gamma and gamma_R of a class pair solve one product graph of the Env,
-    # so the orbit cut's generators come from one canonical-form search on it
+def test_no_automorphism_search_on_products(monkeypatch):
+    # gamma and gamma_R of a class pair each solve the product once, and the
+    # orbit cut's generators are lifted from the factors' own searches, so
+    # no canonical-form search runs on a product
     searched, solved = [], []
 
     def counted(adj):
@@ -548,7 +552,50 @@ def test_one_automorphism_search_per_product(monkeypatch):
         monkeypatch.setattr(bounds, name, logged)
     bounds._run_item((cycle(6), cycle(7), CART_IDS, None), {})
     assert solved.count(("domination_number", 42)) == solved.count(("roman_domination_number", 42)) == 1
-    assert searched.count(42) == 1
+    assert 42 not in searched
+    assert searched and max(searched) <= 7
+
+
+# factors with a common prime factor (C4 = K2 x K2, Q3 = K2^3): the lifted
+# group needs the swap (K2/K2, C4/C4) or is a proper subgroup of Aut(G x H)
+# (C4/K2 gets 16 of Q3's 48 automorphisms, Q3/K2 96 of Q4's 384)
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (complete(2), complete(2)),
+        (cycle(4), complete(2)),
+        (hypercube(3), complete(2)),
+        (cycle(4), cycle(4)),
+    ],
+    ids=lambda g: g.name(),
+)
+def test_lifted_products_match_bruteforce(monkeypatch, g, h):
+    solved = []
+    for name in ("domination_number", "roman_domination_number"):
+        solve = getattr(bounds, name)
+
+        def logged(gr, *args, _solve=solve):
+            res = _solve(gr, *args)
+            solved.append((gr, res))
+            return res
+
+        monkeypatch.setattr(bounds, name, logged)
+    env = Env(g, h)
+    for kind in (CARTESIAN, STRONG):
+        prod = product(g, h, kind)
+        assert env.gamma_prod(kind) == brute_gamma(prod.n, prod.edges())[0]
+        assert env.gammar_prod(kind) == brute_gamma_r_subsets(prod.n, prod.edges())
+    # each product Env solved gives the first optimum in search order, as
+    # with no orbit cut at all
+    solved = [(gr, res) for gr, res in solved if gr.n == g.n * h.n]
+    assert len(solved) == 4
+    for gr, res in solved:
+        if isinstance(res.witness, int):
+            want = brute_first_optimum(gr.n, gr.edges(), 1, None)
+            assert (res.value, tuple(bits(res.witness))) == want
+        else:
+            want = brute_first_optimum(gr.n, gr.edges(), 2, 1)
+            assert (res.value, tuple(bits(res.witness.b2))) == want
 
 
 @pytest.mark.skipif(
@@ -574,10 +621,10 @@ def test_workers_solve_each_product_once(monkeypatch, tmp_path):
     assert {solve for _, solve in solves[2]} == {solve for _, solve in solves[1]}
 
 
-# gamma_R(P5 x K4) on the canonical graphs, P5 first, takes 73 nodes (212
-# with the orbit cut's generators loaded only after n^2 nodes); the test
-# checks that premise first
-CLASS_PAIR_NODES = 73
+# gamma_R(P5 x K4) on the product Env solves (the canonical graphs, P5
+# first, generators lifted from the factors) takes 92 nodes; the test checks
+# that premise first
+CLASS_PAIR_NODES = 92
 
 
 @pytest.mark.parametrize("budget", [CLASS_PAIR_NODES - 1, CLASS_PAIR_NODES], ids=["short", "exact"])
@@ -585,7 +632,7 @@ CLASS_PAIR_NODES = 73
                          ids=["P5-first", "K4-first"])
 def test_budget_outcome_is_shared_across_orientations(monkeypatch, order, budget):
     p5, k4 = (Graph(g.n, g.canonical_form) for g in (path(5), complete(4)))
-    nodes = solvers.roman_domination_number(product(p5, k4, CARTESIAN)).node_count
+    nodes = solvers.roman_domination_number(bounds._pair_product(CARTESIAN, p5, k4)).node_count
     assert nodes == CLASS_PAIR_NODES
     solved = []
     solve = bounds.roman_domination_number

@@ -31,7 +31,7 @@ from romdom import (
     star,
 )
 
-from romdom.graphs import _orbit
+from romdom.graphs import _orbit, lift_automorphisms
 
 from bruteforce import all_labeled_graphs, brute_canonical_form, brute_orbits
 
@@ -158,13 +158,13 @@ def test_name_falls_back_to_graph6():
 
 
 def _generator_orbits(g: Graph) -> list[int]:
-    """The orbit of each vertex under the automorphism generators, after
+    """The orbit of each vertex under the orbit cut's generators, after
     checking that each generator is an automorphism."""
     edges = {frozenset(e) for e in g.edges()}
-    for p in g._symmetry[1]:
+    for p in g._automorphisms:
         assert sorted(p) == list(range(g.n))
         assert {frozenset((p[u], p[v])) for u, v in edges} == edges
-    return [_orbit(g._symmetry[1], 1 << v) for v in range(g.n)]
+    return [_orbit(g._automorphisms, 1 << v) for v in range(g.n)]
 
 
 def test_generator_orbits_match_oracle():
@@ -216,6 +216,49 @@ def test_intransitive_graphs(g):
     orbits = _generator_orbits(g)
     assert orbits == [mask_of(o) for o in brute_orbits(g.n, g.edges())]
     assert orbits != [g.full_mask] * g.n
+
+
+def _lifted(g: Graph, h: Graph, kind: str) -> Graph:
+    return lift_automorphisms(product(g, h, kind), g, h)
+
+
+# same class (the swap is lifted), a common prime factor (a proper subgroup
+# is lifted), and two classes of one order (no swap)
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (complete(2), complete(2)),
+        (hypercube(3), complete(2)),
+        (cycle(4), cycle(4)),
+        (cycle(4), complete(2)),
+        (path(4), cycle(4)),
+        (star(3), path(4)),
+    ],
+    ids=lambda g: g.name(),
+)
+@pytest.mark.parametrize("kind", [CARTESIAN, STRONG])
+def test_lifted_generators_are_automorphisms(g, h, kind):
+    prod = _lifted(g, h, kind)
+    assert prod._automorphisms and _generator_orbits(prod)
+    swap = [j * h.n + i for i in range(g.n) for j in range(h.n)]
+    assert (swap in prod._automorphisms) == (g == h)
+    # the search behind canonical_form still runs on the product itself
+    assert prod.canonical_form == product(g, h, kind).canonical_form
+
+
+# connected factors with no common prime factor: the lifted group is all of
+# Aut(G x H), so its orbits are those of the product's own search
+@pytest.mark.parametrize(
+    "g, h, kind",
+    [
+        (cycle(5), cycle(6), CARTESIAN),
+        (path(4), complete(3), CARTESIAN),
+        (cycle(5), path(4), STRONG),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x.name(),
+)
+def test_lifted_orbits_are_the_products_orbits(g, h, kind):
+    assert _generator_orbits(_lifted(g, h, kind)) == _generator_orbits(product(g, h, kind))
 
 
 @pytest.mark.parametrize("g", [complete(64), from_edges(64, [], "64K1")], ids=lambda g: g.name())

@@ -25,6 +25,7 @@ import csv
 import functools
 import json
 import multiprocessing
+import operator
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
@@ -942,17 +943,20 @@ class SuiteSpec:
     max_product: Optional[int] = None
 
 
-def _run_item(args, memo: dict) -> list[BoundRecord]:
-    """One item's records, its Env solving through the solve memo ``memo``.
+def _run_item(args, memo: dict) -> tuple[str, Optional[str], tuple]:
+    """One item as ``(g's name, h's name, rows)``, its Env solving through
+    the solve memo ``memo``: ``rows`` holds each record's row (``_row``, its
+    values but ``g`` and ``h``), in registry order (``_records`` rebuilds
+    the records).
 
     Every check is an isomorphism invariant of the item's graph or ordered
-    pair, so an item is evaluated once per ordered class item and its
-    records' rows (``_row``) kept in ``memo``, under its kind (the checks and
-    budget are fixed per kind in a sweep) and the two classes in order; a
-    later labeling gets them with only ``g`` and ``h`` renamed. They are kept
-    unless the Env read a labeled object (see ``Env``) or a record carries
-    witnesses, which are labeled; then each labeling is evaluated on its
-    own.
+    pair, so an item is evaluated once per ordered class item and its rows
+    kept in ``memo``, under its kind (the checks and budget are fixed per
+    kind in a sweep) and the two classes in order: every later labeling
+    returns that same tuple under its own names. They are kept unless the
+    Env read a labeled object (see ``Env``) or a record carries witnesses,
+    which are labeled; then each labeling is evaluated on its own and
+    returns rows of its own.
 
     A check that raises anything but BudgetExceeded or CapacityError (which
     become skipped records, or pass through) is reported as a RomdomError
@@ -964,7 +968,7 @@ def _run_item(args, memo: dict) -> list[BoundRecord]:
     key = ("records", THEOREMS[ids[0]].kind, g.canonical_form, hform)
     rows = memo.get(key)
     if rows is not None:
-        return [BoundRecord(*row[:2], gname, hname, *row[2:]) for row in rows]
+        return gname, hname, rows
     env = Env(g, h, budget)
     env._sweep = memo
     records = []
@@ -979,13 +983,19 @@ def _run_item(args, memo: dict) -> list[BoundRecord]:
         raise RomdomError(
             f"{kind} item {where}: check {tid} raised {type(exc).__name__}: {exc}"
         ) from exc
+    rows = tuple(map(_row, records))
     if not env.read_labeled and all(rec.witnesses is None for rec in records):
         # each row interned: the report has few distinct rows. A column
         # holds one type (bool or int, never both), so equal rows have equal
         # values; True == 1 cannot alias.
         interned = memo.setdefault("rows", {})
-        memo[key] = tuple(interned.setdefault(row, row) for row in map(_row, records))
-    return records
+        rows = memo[key] = tuple(interned.setdefault(row, row) for row in rows)
+    return gname, hname, rows
+
+
+def _records(g: str, h: Optional[str], rows) -> list[BoundRecord]:
+    """The records of the item ``(g, h, rows)`` that ``_run_item`` returns."""
+    return [BoundRecord(*row[:2], g, h, *row[2:]) for row in rows]
 
 
 # the solve memo of a pool worker: set by ``_start_worker`` in each worker
@@ -999,12 +1009,12 @@ def _start_worker() -> None:
     _worker_memo = {}
 
 
-def _run_task(items) -> list[list[tuple]]:
-    """Each item's records as plain tuples (``BoundRecord._make`` rebuilds
-    them), all through the worker's solve memo, which lasts as long as its
-    pool: one sweep with one budget. Plain tuples pickle without a
-    ``__new__`` call per record."""
-    return [list(map(tuple, _run_item(item, _worker_memo))) for item in items]
+def _run_task(items) -> list[tuple]:
+    """Each item as ``_run_item`` returns it, all through the worker's solve
+    memo, which lasts as long as its pool: one sweep with one budget. The
+    labelings of one class item share one rows tuple, and so does their
+    pickle."""
+    return [_run_item(item, _worker_memo) for item in items]
 
 
 def _items(spec: SuiteSpec) -> Iterator[tuple]:
@@ -1028,15 +1038,17 @@ def _items(spec: SuiteSpec) -> Iterator[tuple]:
                 yield (kind, classes), (g, h, ids, spec.budget)
 
 
-def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[BoundRecord]:
-    """The records of ``run_suite(spec, jobs)`` as ``BoundRecord``s, yielded
-    in report order as they are evaluated.
+def sweep_items(spec: SuiteSpec, jobs: int = 1) -> Iterator[tuple]:
+    """The items of ``run_suite(spec, jobs)`` as ``_run_item`` returns them,
+    ``(g's name, h's name, rows)``, yielded in report order as they are
+    evaluated; every labeling of a class item that reuses its rows yields
+    the same rows tuple.
 
     Serially every item runs in report order through one solve memo. With
     ``jobs > 1`` the tasks run in a pool of at most ``jobs`` processes, in
     order of first appearance (ordered ``imap``), each worker's tasks
     through one solve memo that lasts as long as the pool, and a task's
-    records are yielded when their turn in the report comes. Either way
+    items are yielded when their turn in the report comes. Either way
     each process solves each class once per factor invariant and each class
     pair once per kind (see ``Env``): a value and a failure depend on class
     keys and the sweep's budget only, so neither the order of the items nor
@@ -1049,26 +1061,34 @@ def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[BoundRecord]:
         for key, item in _items(spec):
             tasks.setdefault(key, []).append(item)
         if len(tasks) > 1:
-            yield from _pooled_records(spec, tasks, jobs)
+            yield from _pooled_items(spec, tasks, jobs)
             return
     memo: dict = {}
     for _, item in _items(spec):
-        yield from _run_item(item, memo)
+        yield _run_item(item, memo)
 
 
-def _pooled_records(spec: SuiteSpec, tasks: dict, jobs: int) -> Iterator[BoundRecord]:
-    """The records of ``tasks`` run in a pool of at most ``jobs`` workers, in
+def sweep_records(spec: SuiteSpec, jobs: int = 1) -> Iterator[BoundRecord]:
+    """The records of ``run_suite(spec, jobs)`` as ``BoundRecord``s, yielded
+    in report order as they are evaluated: the items of ``sweep_items``,
+    flattened."""
+    for item in sweep_items(spec, jobs):
+        yield from _records(*item)
+
+
+def _pooled_items(spec: SuiteSpec, tasks: dict, jobs: int) -> Iterator[tuple]:
+    """The items of ``tasks`` run in a pool of at most ``jobs`` workers, in
     report order."""
     with multiprocessing.Pool(min(jobs, len(tasks)), _start_worker) as pool:
         done = pool.imap(_run_task, tasks.values(), chunksize=1)
         arrived = iter(tasks)  # the task keys, in the order imap returns them
-        waiting: dict = {}  # task key -> its items' records not yet yielded
+        waiting: dict = {}  # task key -> its items not yet yielded
         for key, _ in _items(spec):
             # the task of each report position appeared no later than it
             while key not in waiting:
                 waiting[next(arrived)] = collections.deque(next(done))
             left = waiting[key]
-            yield from map(BoundRecord._make, left.popleft())
+            yield left.popleft()
             if not left:
                 del waiting[key]
 
@@ -1084,9 +1104,9 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> dict:
     ``jobs > 1`` by task in a process pool. It is the only function that
     returns records as dicts (``BoundRecord.to_dict``).
     """
-    summary = _summary()
-    records = [_tally(summary, rec).to_dict() for rec in sweep_records(spec, jobs)]
-    return {**_header(spec), "records": records, "summary": summary}
+    records = list(sweep_records(spec, jobs))
+    summary = _tally(_summary(), records)
+    return {**_header(spec), "records": [rec.to_dict() for rec in records], "summary": summary}
 
 
 def _header(spec: SuiteSpec) -> dict:
@@ -1106,30 +1126,38 @@ def _summary() -> dict:
     return dict.fromkeys(("checked", "held", "tight", "hypothesis_skipped", "budget_skipped"), 0)
 
 
-def _tally(summary: dict, rec: BoundRecord) -> BoundRecord:
-    """Count ``rec`` into ``summary``; return it."""
-    status = rec.status
-    if status == "checked":
-        summary["checked"] += 1
-        summary["held"] += rec.holds
-        summary["tight"] += rec.tight
-    else:  # hypothesis-skipped | budget-skipped
-        summary[status.replace("-", "_")] += 1
-    return rec
+def _tally(summary: dict, records: Iterable[BoundRecord]) -> dict:
+    """Count ``records`` into ``summary``; return it."""
+    for rec in records:
+        status = rec.status
+        if status == "checked":
+            summary["checked"] += 1
+            summary["held"] += rec.holds
+            summary["tight"] += rec.tight
+        else:  # hypothesis-skipped | budget-skipped
+            summary[status.replace("-", "_")] += 1
+    return summary
 
 
 def suite_ok(report: dict) -> bool:
     return report["summary"]["held"] == report["summary"]["checked"]
 
 
-def write_report(fh, spec: SuiteSpec, records: Iterable[BoundRecord]) -> dict:
-    """Write the report of ``spec`` with ``records`` to ``fh`` as the records
-    arrive, the same bytes as ``report_to_json`` of the whole report; return
-    its summary.
+# the blocks write_report keeps before it drops them all: every ordered class
+# item of the exhaustive sweep to 4 vertices (666) fits. Under jobs > 1 each
+# task's rows arrive as new objects, so a block outlives its task, and a
+# corpus of one graph per class reuses no block at all
+_KEPT_BLOCKS = 1024
+
+
+def write_report(fh, spec: SuiteSpec, items: Iterable[tuple]) -> dict:
+    """Write the report of ``spec`` with ``items`` (as ``sweep_items`` yields
+    them, each with at least one row) to ``fh`` as they arrive, the same
+    bytes as ``report_to_json`` of the whole report; return its summary.
 
     The report's keys in sorted order are ``corpus``, ``records``, ``suite``,
-    ``summary``, so each record is written when it comes and the summary,
-    counted on the way, last.
+    ``summary``, so each item's records are written when it comes and the
+    summary, counted on the way, last.
 
     A record without witnesses is written as its ``g`` and ``h`` entries
     plus the text of its row (``_row``) after those, which the C encoder
@@ -1137,31 +1165,63 @@ def write_report(fh, spec: SuiteSpec, records: Iterable[BoundRecord]) -> dict:
     rows. ``g`` and ``h`` sort before every other column, so that text does
     not depend on the names; a column holds one type (bool or int, never
     both), so ``True == 1`` cannot alias two rows.
+
+    An item without witnesses is kept as a block, per rows tuple: its rows'
+    texts and its summary counts. Every labeling that yields that tuple
+    again is written as one join of its head (its ``g`` and ``h`` entries)
+    and the texts, and counted in one step. The block holds its rows, so
+    the tuple's ``id`` is not reused while the block is kept, and at most
+    ``_KEPT_BLOCKS`` blocks are kept. A record with witnesses is encoded
+    whole.
     """
     header = _header(spec)
-    summary = _summary()
     fh.write('{\n  "corpus": ' + _indented(header["corpus"], 1) + ',\n  "records": ')
     sep = "[\n    "
     tails: dict = {}  # a row -> its text after the "h" entry
-    for rec in records:
-        _tally(summary, rec)
-        if rec.witnesses is not None:
-            fh.write(sep + _indented(rec.to_dict(), 2))
-        else:
-            h = "null" if rec.h is None else encode_basestring_ascii(rec.h)
-            head = f'{{\n      "g": {encode_basestring_ascii(rec.g)},\n      "h": {h}'
-            row = _row(rec)
-            tail = tails.get(row)
-            if tail is None:
-                tail = tails[row] = _flat(rec.to_dict(), 2)[len(head):]
-            fh.write(sep + head + tail)
+    blocks: dict = {}  # id(rows) -> (rows, their texts, their summary counts)
+    totals = [0] * len(_summary())
+    for g, h, rows in items:
+        hname = "null" if h is None else encode_basestring_ascii(h)
+        head = f'{{\n      "g": {encode_basestring_ascii(g)},\n      "h": {hname}'
+        block = blocks.get(id(rows))
+        if block is None:
+            records = _records(g, h, rows)
+            counts = tuple(_tally(_summary(), records).values())
+            if all(rec.witnesses is None for rec in records):
+                if len(blocks) == _KEPT_BLOCKS:
+                    blocks.clear()
+                texts = [_tail(tails, rec, len(head)) for rec in records]
+                block = blocks[id(rows)] = (rows, texts, counts)
+            else:
+                # rows with witnesses are this item's own (see _run_item)
+                fh.write(sep + ",\n    ".join(
+                    head + _tail(tails, rec, len(head)) if rec.witnesses is None
+                    else _indented(rec.to_dict(), 2)
+                    for rec in records
+                ))
+        if block is not None:
+            _, texts, counts = block
+            fh.write(sep + head + (",\n    " + head).join(texts))
+        totals = list(map(operator.add, totals, counts))
         sep = ",\n    "
+    summary = dict(zip(_summary(), totals))
     fh.write("[]" if sep.startswith("[") else "\n  ]")
     fh.write(
         ',\n  "suite": ' + _indented(header["suite"], 1)
         + ',\n  "summary": ' + _indented(summary, 1) + "\n}\n"
     )
     return summary
+
+
+def _tail(tails: dict, rec: BoundRecord, head: int) -> str:
+    """The text of a record without witnesses after its ``g`` and ``h``
+    entries, the first ``head`` characters of its text, kept per row in
+    ``tails``."""
+    row = _row(rec)
+    tail = tails.get(row)
+    if tail is None:
+        tail = tails[row] = _flat(rec.to_dict(), 2)[head:]
+    return tail
 
 
 def report_to_json(report: dict) -> str:

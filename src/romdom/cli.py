@@ -35,6 +35,7 @@ from typing import Optional
 from .bounds import (
     THEOREM_ORDER,
     SuiteSpec,
+    _records,
     check_pncn_premise,
     csv_writer,
     default_corpus,
@@ -45,7 +46,7 @@ from .bounds import (
     resolve_theorem_ids,
     run_suite,  # noqa: F401
     suite_ok,
-    sweep_records,
+    sweep_items,
     write_report,
 )
 from .config import DEFAULT_SUITE_BUDGET
@@ -229,15 +230,17 @@ def _replacing(path: str):
         raise
 
 
-def _also_written(records, csv_fh, log_fh, ts: str):
-    """``records``, each written as a CSV row and a log line as it passes."""
+def _also_written(items, csv_fh, log_fh, ts: str):
+    """``items`` (``sweep_items``), each item's records written as CSV rows
+    and log lines as it passes."""
     write_row = csv_writer(csv_fh) if csv_fh is not None else None
-    for rec in records:
-        if write_row is not None:
-            write_row(rec)
-        if log_fh is not None:
-            log_fh.write(json.dumps({"ts": ts, "record": rec.to_dict()}, sort_keys=True) + "\n")
-        yield rec
+    for item in items:
+        for rec in _records(*item):
+            if write_row is not None:
+                write_row(rec)
+            if log_fh is not None:
+                log_fh.write(json.dumps({"ts": ts, "record": rec.to_dict()}, sort_keys=True) + "\n")
+        yield item
 
 
 def _cmd_verify(args) -> int:
@@ -265,11 +268,14 @@ def _cmd_verify(args) -> int:
         report_fh = stack.enter_context(_replacing(args.report)) if args.report else sys.stdout
         csv_fh = stack.enter_context(_replacing(args.csv)) if args.csv else None
         log_fh = stack.enter_context(open(args.log, "a", encoding="ascii")) if args.log else None
-        # the records are written as they are evaluated; the log's one
+        # the items are written as they are evaluated; the log's one
         # timestamp is the start of the sweep
         ts = datetime.now(timezone.utc).isoformat()
-        records = stack.enter_context(closing(sweep_records(spec, jobs=args.jobs)))
-        summary = write_report(report_fh, spec, _also_written(records, csv_fh, log_fh, ts))
+        items = stack.enter_context(closing(sweep_items(spec, jobs=args.jobs)))
+        if csv_fh is not None or log_fh is not None:
+            # records are built only for these outputs
+            items = _also_written(items, csv_fh, log_fh, ts)
+        summary = write_report(report_fh, spec, items)
     sys.stderr.write(
         "checked={checked} held={held} tight={tight} "
         "hypothesis_skipped={hypothesis_skipped} budget_skipped={budget_skipped}\n".format(

@@ -45,6 +45,7 @@ from romdom import (
     spider,
     star,
     suite_ok,
+    sweep_items,
     sweep_records,
     write_report,
 )
@@ -463,6 +464,8 @@ def test_reused_records_match_with_labeled_witnesses(monkeypatch):
         "K2": (2, "2-set selection g:enumerated,h:enumerated"),
     }
     assert list(sweep_records(spec)) == records
+    assert list(sweep_records(spec, jobs=2)) == records
+    assert _streamed(spec, jobs=2) == _streamed(spec)
 
 
 def test_reused_records_match_with_violation_witnesses(monkeypatch):
@@ -472,6 +475,8 @@ def test_reused_records_match_with_violation_witnesses(monkeypatch):
     records = _serial_records(spec)
     assert any(r.witnesses is not None for r in records)
     assert list(sweep_records(spec)) == records
+    assert list(sweep_records(spec, jobs=2)) == records
+    assert _streamed(spec, jobs=2) == _streamed(spec)
 
 
 def test_reused_records_match_on_random_repeats():
@@ -771,7 +776,7 @@ def test_report_to_json_with_witnesses_is_indented_json_dumps(monkeypatch):
 
 def _streamed(spec, jobs=1) -> str:
     buf = io.StringIO()
-    summary = write_report(buf, spec, sweep_records(spec, jobs))
+    summary = write_report(buf, spec, sweep_items(spec, jobs))
     assert summary == json.loads(buf.getvalue())["summary"]
     return buf.getvalue()
 
@@ -834,39 +839,47 @@ _WITNESSES = st.dictionaries(
 
 
 @st.composite
-def _record_streams(draw) -> list[BoundRecord]:
-    """Records reusing a few rows under different names, some with witnesses."""
-    rows = draw(st.lists(_rows(), min_size=1, max_size=4))
-    stream = st.tuples(
-        st.sampled_from(rows), _NAMES, st.none() | _NAMES, st.none() | _WITNESSES
+def _item_streams(draw) -> list[tuple]:
+    """Items as ``sweep_items`` yields them: a few rows tuples of one to four
+    rows, each reused by several items under different names, and items of
+    their own whose rows may carry witnesses."""
+    rows_tuples = st.lists(_rows(), min_size=1, max_size=4).map(
+        lambda recs: tuple(map(bounds._row, recs))
     )
-    return [
-        row._replace(g=g, h=h, witnesses=witnesses)
-        for row, g, h, witnesses in draw(st.lists(stream, max_size=12))
-    ]
+    blocks = draw(st.lists(rows_tuples, min_size=1, max_size=4))
+    items = []
+    for _ in range(draw(st.integers(0, 12))):
+        rows = draw(st.sampled_from(blocks))
+        if draw(st.booleans()):
+            rows = tuple(row[:-1] + (draw(st.none() | _WITNESSES),) for row in rows)
+        items.append((draw(_NAMES), draw(st.none() | _NAMES), rows))
+    return items
 
 
-def _one_column_apart() -> list[BoundRecord]:
-    """A checked record, then for each column but g and h a record that
-    differs from it in that column alone, each under its own names, which
-    JSON escapes."""
+def _one_column_apart() -> list[tuple]:
+    """A checked row, then for each column but g and h a row that differs
+    from it in that column alone, each as an item under its own names, which
+    JSON escapes; then all of them again as one item, whose names are
+    escaped too, and that item reused."""
     base = BoundRecord("L1", "unary", "", None, "checked", True, "r", 6, 1, 2, "<=", True, False, "n")
     changed = {
         "theorem": "L2", "kind": STRONG, "status": "budget-skipped", "hypotheses_met": None,
         "reason": "s", "scale": 1, "lhs": 2, "rhs": 1, "relation": ">=", "holds": False,
         "tight": True, "note": None,
     }
-    records = [base._replace(g="G", h="H")]
+    items = [("G", "H", (bounds._row(base),))]
     for i, (col, value) in enumerate(changed.items()):
         h = None if i % 2 else f"\u00e9{i}\x00"
-        records.append(base._replace(g=f'a"b\\c{i}', h=h, **{col: value}))
-    return records
+        items.append((f'a"b\\c{i}', h, (bounds._row(base._replace(**{col: value})),)))
+    rows = tuple(row for _, _, (row,) in items)
+    return items + [('a"b\\c', "\u00e9\x00", rows), ("G", None, rows)]
 
 
-@given(_record_streams())
+@given(_item_streams())
 @example(_one_column_apart())
 @settings(max_examples=300, deadline=None)
-def test_streamed_writer_is_indented_json_dumps(records):
+def test_streamed_writer_is_indented_json_dumps(items):
+    records = [BoundRecord(*row[:2], g, h, *row[2:]) for g, h, rows in items for row in rows]
     summary = dict.fromkeys(("checked", "held", "tight", "hypothesis_skipped", "budget_skipped"), 0)
     for rec in records:
         if rec.status == "checked":
@@ -880,7 +893,7 @@ def test_streamed_writer_is_indented_json_dumps(records):
         **bounds._header(spec), "records": [rec.to_dict() for rec in records], "summary": summary
     }
     buf = io.StringIO()
-    assert write_report(buf, spec, iter(records)) == summary
+    assert write_report(buf, spec, iter(items)) == summary
     assert buf.getvalue() == _dumps(report)
 
 
@@ -899,7 +912,7 @@ def test_record_columns_hold_one_type_and_names_sort_first():
     assert types["holds"] == {bool} and types["lhs"] == {int}
 
 
-def test_streamed_sweep_with_reuse_and_escaped_labels():
+def test_streamed_sweep_with_reuse_and_escaped_labels(monkeypatch):
     # three labelings each of P3 and C4: later ones reuse the first's records
     graphs = (
         from_edges(3, [(0, 1), (1, 2)]),
@@ -916,6 +929,9 @@ def test_streamed_sweep_with_reuse_and_escaped_labels():
     assert {'a"b\\c', "\u00e9"} <= {rec["g"] for rec in report["records"]}
     for jobs in (1, 2):
         assert _streamed(spec, jobs) == _dumps(report)
+    # the writer drops its blocks when it keeps too many, and builds them again
+    monkeypatch.setattr(bounds, "_KEPT_BLOCKS", 1)
+    assert _streamed(spec) == _dumps(report)
 
 
 def test_serial_sweep_yields_before_the_last_item(monkeypatch):

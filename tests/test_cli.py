@@ -222,7 +222,7 @@ def test_verify_corpus_options_need_their_corpus(capsys, monkeypatch, flag, corp
     def never(*args, **kwargs):
         raise AssertionError("sweep reached")
 
-    monkeypatch.setattr("romdom.cli.sweep_records", never)
+    monkeypatch.setattr("romdom.cli.sweep_items", never)
     code, out, err = run_cli(capsys, "verify", "--corpus", corpus, flag, "3")
     assert code == 2
     assert out == ""
@@ -249,7 +249,7 @@ def test_verify_bad_output_path_fails_before_the_sweep(tmp_path, capsys, monkeyp
     def never(*args, **kwargs):
         raise AssertionError("sweep reached")
 
-    monkeypatch.setattr("romdom.cli.sweep_records", never)
+    monkeypatch.setattr("romdom.cli.sweep_items", never)
     bad = tmp_path / "missing" / "out"
     code, out, err = run_cli(
         capsys, "verify", "--corpus", "exhaustive", "--max-n", "2", flag, str(bad)
@@ -266,7 +266,7 @@ def test_verify_output_path_that_is_a_directory_fails_before_the_sweep(
     def never(*args, **kwargs):
         raise AssertionError("sweep reached")
 
-    monkeypatch.setattr("romdom.cli.sweep_records", never)
+    monkeypatch.setattr("romdom.cli.sweep_items", never)
     code, out, err = run_cli(
         capsys, "verify", "--corpus", "exhaustive", "--max-n", "2", flag, str(tmp_path)
     )

@@ -127,9 +127,8 @@ class Env:
       and no canonical-form search runs on it.
 
     So every labeling of a class (pair) reads the same values and meets the
-    same failures, in every task. The one labeled object a check reads, the
-    gamma_R witness behind ``max_b2``'s fallback, is keyed by labeled
-    graph, and reading it sets ``read_labeled``.
+    same failures, in every task. Only ``witness_payload`` gives labeled
+    objects: the graphs and the products read, as graph6.
     """
 
     def __init__(self, g: Graph, h: Optional[Graph] = None, budget: Optional[int] = None):
@@ -138,8 +137,6 @@ class Env:
         self.budget = budget
         self._memo: dict = {}
         self._sweep: dict = {}
-        self._kinds: set = set()  # product kinds an invariant was read on
-        self.read_labeled = False
 
     def graph(self, x: str) -> Graph:
         gr = self.g if x == "g" else self.h
@@ -179,7 +176,6 @@ class Env:
         return _memoized(self._sweep, (name, gr.canonical_form), by_class)
 
     def _product(self, name: str, kind: str, solver):
-        self._kinds.add(kind)
         return self._get((name, kind), lambda: self._pair_value(name, kind, solver, self.h))
 
     def _pair_value(self, name: str, kind: str, solver, h: Graph) -> int:
@@ -266,21 +262,19 @@ class Env:
         return min(ds) == max(ds)
 
     def max_b2(self, x: str) -> tuple[int, str]:
-        """Largest 2-set size over optimal Roman functions, with selection mode."""
+        """Largest |B2| over the optimal Roman functions, "enumerated". Past
+        the enumeration guard it is the |B2| of the gamma_R solver's witness,
+        "solver-witness": on the canonical graph of each component's class,
+        summed, so it is a class invariant too."""
         try:
             return self.optima(x)[0], "enumerated"
         except CapacityError:
-            self.read_labeled = True
-            gr = self.graph(x)
-            fn = self._get(
-                ("gammar_fn", x),
-                lambda: _memoized(
-                    self._sweep,
-                    ("gammar_fn", gr),
-                    lambda: roman_domination_number(gr, self.budget).witness,
-                ),
+            b2 = self._by_components(
+                "witness_b2",
+                self.graph(x),
+                lambda gr: roman_domination_number(gr, self.budget).witness.b2.bit_count(),
             )
-            return fn.b2.bit_count(), "solver-witness"
+            return b2, "solver-witness"
 
     def max_a2b2(self) -> tuple[int, str]:
         a, mode_a = self.max_b2("g")
@@ -289,17 +283,11 @@ class Env:
 
     # -- product invariants
 
-    def prod(self, kind: str) -> Graph:
-        return self._get(("prod", kind), lambda: product(self.g, self.h, kind))
-
     def gamma_prod(self, kind: str) -> int:
         return self._product("gamma_prod", kind, domination_number)
 
     def gammar_prod(self, kind: str) -> int:
         return self._product("gammar_prod", kind, roman_domination_number)
-
-    def prod_k2(self) -> Graph:
-        return self._get(("prod_k2",), lambda: product(self.g, _K2, CARTESIAN))
 
     def gammar_k2(self) -> int:
         """gamma_R(G x K2), the Cartesian pair {G, K2}: it shares its solves
@@ -310,22 +298,21 @@ class Env:
         )
 
     def witness_payload(self) -> dict:
-        """Serializable snapshot of everything solved so far, for violations."""
+        """Serializable snapshot of everything solved so far, for violations:
+        the graphs and each product a value was read on, as graph6, and the
+        values read."""
         out: dict = {"g": write_graph6(self.g)}
         if self.h is not None:
             out["h"] = write_graph6(self.h)
-        for kind in self._kinds:
-            with suppress(CapacityError):
-                self.prod(kind)
+        products = {f"prod_{k[1]}": (self.h, k[1]) for k in self._memo if k[0].endswith("_prod")}
         if ("gammar_k2",) in self._memo:
+            products["prod_k2"] = (_K2, CARTESIAN)
+        for name, (h, kind) in products.items():
             with suppress(CapacityError):
-                self.prod_k2()
-        for key, value in sorted(self._memo.items(), key=lambda kv: repr(kv[0])):
-            name = "_".join(str(part) for part in key)
-            if isinstance(value, Graph):
-                out[name] = write_graph6(value)
-            elif isinstance(value, (int, bool)):
-                out[name] = value
+                out[name] = write_graph6(product(self.g, h, kind))
+        for key, value in self._memo.items():
+            if isinstance(value, (int, bool)):
+                out["_".join(map(str, key))] = value
         return out
 
 
@@ -949,14 +936,13 @@ def _run_item(args, memo: dict) -> tuple[str, Optional[str], tuple]:
     values but ``g`` and ``h``), in registry order (``_records`` rebuilds
     the records).
 
-    Every check is an isomorphism invariant of the item's graph or ordered
-    pair, so an item is evaluated once per ordered class item and its rows
-    kept in ``memo``, under its kind (the checks and budget are fixed per
-    kind in a sweep) and the two classes in order: every later labeling
-    returns that same tuple under its own names. They are kept unless the
-    Env read a labeled object (see ``Env``) or a record carries witnesses,
-    which are labeled; then each labeling is evaluated on its own and
-    returns rows of its own.
+    Every check reads only class invariants (see ``Env``), so an item is
+    evaluated once per ordered class item and its rows kept in ``memo``,
+    under its kind (the checks and budget are fixed per kind in a sweep)
+    and the two classes in order: every later labeling returns that same
+    tuple under its own names. They are kept unless a record carries
+    witnesses, which are labeled; then each labeling is evaluated on its
+    own and returns rows of its own.
 
     A check that raises anything but BudgetExceeded or CapacityError (which
     become skipped records, or pass through) is reported as a RomdomError
@@ -984,7 +970,7 @@ def _run_item(args, memo: dict) -> tuple[str, Optional[str], tuple]:
             f"{kind} item {where}: check {tid} raised {type(exc).__name__}: {exc}"
         ) from exc
     rows = tuple(map(_row, records))
-    if not env.read_labeled and all(rec.witnesses is None for rec in records):
+    if all(rec.witnesses is None for rec in records):
         # each row interned: the report has few distinct rows. A column
         # holds one type (bool or int, never both), so equal rows have equal
         # values; True == 1 cannot alias.
@@ -1053,8 +1039,7 @@ def sweep_items(spec: SuiteSpec, jobs: int = 1) -> Iterator[tuple]:
     pair once per kind (see ``Env``): a value and a failure depend on class
     keys and the sweep's budget only, so neither the order of the items nor
     the worker that runs them changes a record. Each ordered class item is
-    evaluated once per process too, bar labeled reads and witnesses (see
-    ``_run_item``).
+    evaluated once per process too, bar witnesses (see ``_run_item``).
     """
     if jobs > 1:
         tasks: dict = {}  # task key -> its items, in report order
@@ -1159,20 +1144,19 @@ def write_report(fh, spec: SuiteSpec, items: Iterable[tuple]) -> dict:
     ``summary``, so each item's records are written when it comes and the
     summary, counted on the way, last.
 
-    A record without witnesses is written as its ``g`` and ``h`` entries
-    plus the text of its row (``_row``) after those, which the C encoder
-    makes once per row: the exhaustive sweep's 152,325 records have 747
-    rows. ``g`` and ``h`` sort before every other column, so that text does
-    not depend on the names; a column holds one type (bool or int, never
-    both), so ``True == 1`` cannot alias two rows.
+    Every record is written as its ``g`` and ``h`` entries, the item's
+    head, plus its text after those (``_tail``). A record without witnesses
+    has that text made once per row, by the C encoder: the exhaustive
+    sweep's 152,325 records have 747 rows. ``g`` and ``h`` sort before every
+    other column, so that text does not depend on the names; a column holds
+    one type (bool or int, never both), so ``True == 1`` cannot alias two
+    rows. A record with witnesses is encoded whole.
 
     An item without witnesses is kept as a block, per rows tuple: its rows'
     texts and its summary counts. Every labeling that yields that tuple
-    again is written as one join of its head (its ``g`` and ``h`` entries)
-    and the texts, and counted in one step. The block holds its rows, so
-    the tuple's ``id`` is not reused while the block is kept, and at most
-    ``_KEPT_BLOCKS`` blocks are kept. A record with witnesses is encoded
-    whole.
+    again is written as one join of its head and the texts, and counted in
+    one step. The block holds its rows, so the tuple's ``id`` is not reused
+    while the block is kept, and at most ``_KEPT_BLOCKS`` blocks are kept.
     """
     header = _header(spec)
     fh.write('{\n  "corpus": ' + _indented(header["corpus"], 1) + ',\n  "records": ')
@@ -1186,22 +1170,15 @@ def write_report(fh, spec: SuiteSpec, items: Iterable[tuple]) -> dict:
         block = blocks.get(id(rows))
         if block is None:
             records = _records(g, h, rows)
-            counts = tuple(_tally(_summary(), records).values())
+            texts = [_tail(tails, rec, len(head), _report_text) for rec in records]
+            block = (rows, texts, tuple(_tally(_summary(), records).values()))
+            # rows with witnesses are this item's own (see _run_item)
             if all(rec.witnesses is None for rec in records):
                 if len(blocks) == _KEPT_BLOCKS:
                     blocks.clear()
-                texts = [_tail(tails, rec, len(head)) for rec in records]
-                block = blocks[id(rows)] = (rows, texts, counts)
-            else:
-                # rows with witnesses are this item's own (see _run_item)
-                fh.write(sep + ",\n    ".join(
-                    head + _tail(tails, rec, len(head)) if rec.witnesses is None
-                    else _indented(rec.to_dict(), 2)
-                    for rec in records
-                ))
-        if block is not None:
-            _, texts, counts = block
-            fh.write(sep + head + (",\n    " + head).join(texts))
+                blocks[id(rows)] = block
+        _, texts, counts = block
+        fh.write(sep + head + (",\n    " + head).join(texts))
         totals = list(map(operator.add, totals, counts))
         sep = ",\n    "
     summary = dict(zip(_summary(), totals))
@@ -1213,15 +1190,26 @@ def write_report(fh, spec: SuiteSpec, items: Iterable[tuple]) -> dict:
     return summary
 
 
-def _tail(tails: dict, rec: BoundRecord, head: int) -> str:
-    """The text of a record without witnesses after its ``g`` and ``h``
-    entries, the first ``head`` characters of its text, kept per row in
-    ``tails``."""
+def _tail(tails: dict, rec: BoundRecord, head: int, encode) -> str:
+    """``encode(rec)`` after its first ``head`` characters, the record's
+    ``g`` and ``h`` entries. Without witnesses that text depends on the
+    record's row alone, so it is kept per row in ``tails``; a record with
+    witnesses is encoded whole."""
+    if rec.witnesses is not None:
+        return encode(rec)[head:]
     row = _row(rec)
     tail = tails.get(row)
     if tail is None:
-        tail = tails[row] = _flat(rec.to_dict(), 2)[head:]
+        tail = tails[row] = encode(rec)[head:]
     return tail
+
+
+def _report_text(rec: BoundRecord) -> str:
+    """A record as ``json.dumps(sort_keys=True, indent=2)`` writes it in
+    the report's records."""
+    if rec.witnesses is not None:
+        return _indented(rec.to_dict(), 2)
+    return _flat(rec.to_dict(), 2)
 
 
 def report_to_json(report: dict) -> str:

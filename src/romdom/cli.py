@@ -30,12 +30,14 @@ import stat
 import sys
 from contextlib import ExitStack, closing, contextmanager, suppress
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .bounds import (
     THEOREM_ORDER,
     SuiteSpec,
     _records,
+    _tail,
     check_pncn_premise,
     csv_writer,
     default_corpus,
@@ -232,15 +234,24 @@ def _replacing(path: str):
 
 def _also_written(items, csv_fh, log_fh, ts: str):
     """``items`` (``sweep_items``), each item's records written as CSV rows
-    and log lines as it passes."""
+    and log lines as it passes; a line's text after its ``h`` entry is kept
+    per row (``bounds._tail``)."""
     write_row = csv_writer(csv_fh) if csv_fh is not None else None
-    for item in items:
-        for rec in _records(*item):
-            if write_row is not None:
+    tails: dict = {}  # a row -> its log line after the "h" entry
+
+    def line(rec) -> str:
+        return json.dumps({"ts": ts, "record": rec.to_dict()}, sort_keys=True) + "\n"
+
+    for g, h, rows in items:
+        records = _records(g, h, rows)
+        if write_row is not None:
+            for rec in records:
                 write_row(rec)
-            if log_fh is not None:
-                log_fh.write(json.dumps({"ts": ts, "record": rec.to_dict()}, sort_keys=True) + "\n")
-        yield item
+        if log_fh is not None:
+            hname = "null" if h is None else encode_basestring_ascii(h)
+            head = f'{{"record": {{"g": {encode_basestring_ascii(g)}, "h": {hname}'
+            log_fh.write(head + head.join(_tail(tails, rec, len(head), line) for rec in records))
+        yield g, h, rows
 
 
 def _cmd_verify(args) -> int:

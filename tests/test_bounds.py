@@ -446,26 +446,36 @@ def test_reused_records_match_under_budgets():
     assert both > 0
 
 
-def test_reused_records_match_with_labeled_witnesses(monkeypatch):
-    # over the guard, max_b2 reads the labeled gamma_R witness: its 2-set has
-    # two vertices on P5 labeled in order, one on P5 labeled 1-2-0-3-4
+def test_reused_records_match_past_the_enumeration_guard(monkeypatch):
+    # past the guard, max_b2 reads the |B2| of the gamma_R solver's witness on
+    # P5's canonical graph, so P5 labeled in order and P5' labeled 1-2-0-3-4
+    # read the same value
     monkeypatch.setattr(solvers, "DEFAULT_ENUM_GUARD", 4)
     relabeled = from_edges(5, [(1, 2), (2, 0), (0, 3), (3, 4)], "P5'")
     spec = SuiteSpec(graphs=(path(5), relabeled, complete(2)), products=(STRONG,))
     records = _serial_records(spec)
-    minus = {
-        r.g: (r.rhs, r.note)
-        for r in records
-        if (r.theorem, r.h) == ("T-strong-minus", "K2")
-    }
-    assert minus == {
+    minus = {r.g: r for r in records if (r.theorem, r.h) == ("T-strong-minus", "K2")}
+    assert {g: (r.rhs, r.note) for g, r in minus.items()} == {
         "P5": (4, "2-set selection g:solver-witness,h:enumerated"),
-        "P5'": (6, "2-set selection g:solver-witness,h:enumerated"),
+        "P5'": (4, "2-set selection g:solver-witness,h:enumerated"),
         "K2": (2, "2-set selection g:enumerated,h:enumerated"),
     }
-    assert list(sweep_records(spec)) == records
+    assert minus["P5'"] == minus["P5"]._replace(g="P5'")
+    for g in spec.graphs[:2]:
+        assert evaluate("T-strong-minus", g, complete(2)) == minus[g.name()]
     assert list(sweep_records(spec, jobs=2)) == records
     assert _streamed(spec, jobs=2) == _streamed(spec)
+    # every check runs once per ordered class item: the classes P5 and K2
+    evaluated = []
+    evaluate_env = bounds._evaluate_env
+
+    def counted(tid, env):
+        evaluated.append(tid)
+        return evaluate_env(tid, env)
+
+    monkeypatch.setattr(bounds, "_evaluate_env", counted)
+    assert list(sweep_records(spec)) == records
+    assert len(evaluated) == 2 * len(UNARY_IDS) + 2 * 2 * len(STRONG_IDS)
 
 
 def test_reused_records_match_with_violation_witnesses(monkeypatch):
@@ -875,8 +885,22 @@ def _one_column_apart() -> list[tuple]:
     return items + [('a"b\\c', "\u00e9\x00", rows), ("G", None, rows)]
 
 
+def _escaped_witness_items() -> list[tuple]:
+    """Items whose rows carry witnesses, beside a row without, under names
+    that JSON escapes: each item's head is longer than its raw names."""
+    base = BoundRecord("L1", "unary", "", None, "checked", True, "r", 1, 2, 1, "<=", False, False, None)
+    plain = bounds._row(base)
+    witnessed = bounds._row(base._replace(witnesses={"g": 'a"b', "prod_strong": "\u00e9"}))
+    return [
+        ('a"b\\c', "\u00e9\x00", (witnessed, plain)),
+        ("\u2603", None, (plain, witnessed, witnessed)),
+        ("G", "\n", (witnessed,)),
+    ]
+
+
 @given(_item_streams())
 @example(_one_column_apart())
+@example(_escaped_witness_items())
 @settings(max_examples=300, deadline=None)
 def test_streamed_writer_is_indented_json_dumps(items):
     records = [BoundRecord(*row[:2], g, h, *row[2:]) for g, h, rows in items for row in rows]

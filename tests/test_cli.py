@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -17,11 +18,15 @@ from romdom import (
     cycle,
     domination_number,
     exhaustive_corpus,
+    from_edges,
     parse_graph6,
     path,
     roman_domination_number,
     run_suite,
+    sweep_items,
+    sweep_records,
 )
+from romdom import cli
 from romdom.cli import build_parser, main
 from romdom.solvers import _optimal_ties
 from test_bounds import _failing
@@ -332,6 +337,29 @@ def test_verify_log_lines_are_the_report_records(tmp_path, capsys, monkeypatch):
     spec = SuiteSpec(graphs=tuple(exhaustive_corpus(2)), products=(CARTESIAN,))
     assert records == run_suite(spec)["records"]
     assert any("witnesses" in rec for rec in records)
+
+
+def test_log_lines_are_json_dumps_of_each_record(monkeypatch):
+    # a failing check, so that some records carry witnesses, and labelings
+    # under names that JSON escapes, which reuse the first labeling's rows
+    _failing(monkeypatch, "T-lower-ii", CARTESIAN)
+    graphs = (
+        from_edges(3, [(0, 1), (1, 2)]),
+        from_edges(3, [(1, 0), (0, 2)], 'a"b\\c'),
+        from_edges(3, [(0, 2), (2, 1)], "\u00e9\x00"),
+        cycle(3),
+    )
+    spec = SuiteSpec(graphs=graphs)
+    ts = "2000-01-01T00:00:00+00:00"
+    log = io.StringIO()
+    items = list(cli._also_written(sweep_items(spec), None, log, ts))
+    assert items == list(sweep_items(spec))
+    lines = [
+        json.dumps({"ts": ts, "record": rec.to_dict()}, sort_keys=True) + "\n"
+        for rec in sweep_records(spec)
+    ]
+    assert log.getvalue().splitlines(keepends=True) == lines
+    assert any("witnesses" in line and 'a\\"b' in line for line in lines)
 
 
 def test_verify_products_are_normalized(tmp_path, capsys):

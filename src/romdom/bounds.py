@@ -23,6 +23,7 @@ from __future__ import annotations
 import collections
 import csv
 import functools
+import io
 import json
 import multiprocessing
 import operator
@@ -1239,13 +1240,40 @@ def _flat(value, depth: int) -> str:
     return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
 
 
-def csv_writer(fh) -> Callable[[BoundRecord], None]:
-    """Write the CSV header to ``fh``; return a function that writes one
-    record's row: every field but the witnesses, None as empty (as
-    ``csv.writer`` writes it)."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    return lambda rec: writer.writerow(rec[:-1])
+def csv_writer(fh) -> Callable[[str, Optional[str], tuple], None]:
+    """Write the CSV header to ``fh``; return a function that writes the
+    rows of one item ``(g, h, rows)``, as ``sweep_items`` yields it: per
+    record every field but the witnesses, None as empty, the bytes
+    ``csv.writer`` writes.
+
+    ``csv.writer`` quotes each field on its own, so a line is the text of
+    ``theorem`` and ``kind``, then of the names, then of the other fields,
+    joined by commas. The text around the names depends on the row alone
+    and is made once per row; the names are quoted once per item."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def line(fields) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(fields)
+        return buf.getvalue()
+
+    fh.write(line(_CSV_COLUMNS))
+    pieces: dict = {}  # a row but its witnesses -> its text before and after the names
+
+    def write_item(g: str, h: Optional[str], rows: tuple) -> None:
+        names = line((g, h))[:-1]
+        out = []
+        for row in rows:
+            key = row[:-1]
+            piece = pieces.get(key)
+            if piece is None:
+                piece = pieces[key] = (line(row[:2])[:-1] + ",", "," + line(key[2:]))
+            out.append(piece[0] + names + piece[1])
+        fh.write("".join(out))
+
+    return write_item
 
 
 # ---------------------------------------------------------------------------

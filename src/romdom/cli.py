@@ -234,20 +234,19 @@ def _replacing(path: str):
 
 def _also_written(items, csv_fh, log_fh, ts: str):
     """``items`` (``sweep_items``), each item's records written as CSV rows
-    and log lines as it passes; a line's text after its ``h`` entry is kept
-    per row (``bounds._tail``)."""
-    write_row = csv_writer(csv_fh) if csv_fh is not None else None
+    and log lines as it passes; the text around a row's names is kept per
+    row (``bounds.csv_writer``, ``bounds._tail``)."""
+    write_item = csv_writer(csv_fh) if csv_fh is not None else None
     tails: dict = {}  # a row -> its log line after the "h" entry
 
     def line(rec) -> str:
         return json.dumps({"ts": ts, "record": rec.to_dict()}, sort_keys=True) + "\n"
 
     for g, h, rows in items:
-        records = _records(g, h, rows)
-        if write_row is not None:
-            for rec in records:
-                write_row(rec)
+        if write_item is not None:
+            write_item(g, h, rows)
         if log_fh is not None:
+            records = _records(g, h, rows)
             hname = "null" if h is None else encode_basestring_ascii(h)
             head = f'{{"record": {{"g": {encode_basestring_ascii(g)}, "h": {hname}'
             log_fh.write(head + head.join(_tail(tails, rec, len(head), line) for rec in records))

@@ -89,38 +89,52 @@ All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
 search size; running out raises BudgetExceeded rather than returning a guess.
 
-Orbit cut. Let a node have 2-set S and refused set E. The automorphism
-generators whose support (the vertices they move) misses S and E generate a
-group that fixes S and E; it also preserves the charged misses, a function
-of S and E, and so the cost. Each time a candidate's branch returns, the
-node closes the tried candidates under those generators and skips every
-later candidate in that orbit, refusing it to the later siblings and the
-miss branch as before. That is sound: if such an automorphism maps the
-skipped u_k onto an earlier candidate u_j, it maps every completion of
-branch k onto a completion of branches 1..j at the same cost, so, by
-induction over the skipped siblings, branch k cannot strictly improve the
-incumbent. At the root (S and E empty) the search also returns once the
-orbit is all of V: every completion but S = empty then maps into a finished
-branch, and for gamma_R that one is the incumbent in place before the search
-starts, so the miss branch is skipped too. With a greedy seed below n the
-incumbent in place is the seed's bound instead, and the skip stays sound:
-S = empty costs n > seed >= optimum, so it is not optimal, and the finished
-branches hold an optimal completion. On a vertex-transitive graph the
-root thus returns after its first branch. Witnesses do not change: the
-incumbent is replaced only on a strict improvement, so it is still the
-first optimum in search order. Each skip rests only on the automorphism
-behind it, so the cut is sound under any group of automorphisms. The
-generators are ``Graph._automorphisms``: the canonical-form search's,
-cached per graph object, or, on the products ``bounds.Env`` solves, the
-factors' own, lifted (``graphs.lift_automorphisms``): (i, j) -> (p[i], j)
-and (i, j) -> (i, q[j]) for each generator p of G and q of H, and (i, j)
--> (j, i) when G and H are one canonical graph. For a Cartesian product of
-connected factors with no common prime factor these generate the whole
-group (Sabidussi, Math. Z. 72, 1960), else a subgroup; no search runs on
-the product. A search that wants one optimum loads them, with the support
-of each, when the first candidate branch anywhere in its tree returns, and
-a node picks its own from them when its own first candidate returns. The
-enumeration run (optimal ties) loads none.
+Orbit cut. Let a node have 2-set S and refused set E. Its completions are
+the sets T that contain S and miss E, at cost pick * |T| + miss * |V minus
+N[T]|. An automorphism sigma that maps S onto S and E onto E maps
+completions onto completions at the same cost, since it maps N[T] onto
+N[sigma(T)]. It keeps the node's own state too: reach is the vertices w
+whose N[w] is not inside E, the charged misses are the vertices outside
+N[S] and reach, and the node's cost is pick * |S| plus miss per charged
+vertex, all carried onto themselves. Each node that branches keeps those of
+its parent's generators that map its own S and E onto themselves as well.
+Only the vertices its branch added need a test. A child adds the picked
+candidate x to S (none in the miss branch) and the siblings refused so far,
+R, to E. A permutation that maps S onto S maps S + x onto itself exactly
+when it fixes x, and one that maps E onto E maps nothing outside E into E,
+so it maps E + R onto itself exactly when it maps R into E + R. Each time a
+candidate's branch returns, the node closes the tried candidates under its
+generators and skips every later candidate in that orbit, refusing it to
+the later siblings and the miss branch as before. That is sound: if such an
+automorphism maps the skipped u_k onto an earlier candidate u_j, it maps
+every completion of branch k onto a completion that holds u_j at the same
+cost, which lies in branches 1..j, so, by induction over the skipped
+siblings, branch k cannot strictly improve the incumbent. At the root (S
+and E empty) the search also returns once the orbit is all of V: every
+completion but S = empty then maps into a finished branch, and for gamma_R
+that one is the incumbent in place before the search starts, so the miss
+branch is skipped too. With a greedy seed below n the incumbent in place is
+the seed's bound instead, and the skip stays sound: S = empty costs n >
+seed >= optimum, so it is not optimal, and the finished branches hold an
+optimal completion. On a vertex-transitive graph the root thus returns
+after its first branch. Witnesses do not change: the incumbent is replaced
+only on a strict improvement, so it is still the first optimum in search
+order. Each skip rests only on the automorphism behind it, so the cut is
+sound under any group of automorphisms. The generators are
+``Graph._automorphisms``: the canonical-form search's, cached per graph
+object, or, on the products ``bounds.Env`` solves, the factors' own, lifted
+(``graphs.lift_automorphisms``): (i, j) -> (p[i], j) and (i, j) -> (i,
+q[j]) for each generator p of G and q of H, and (i, j) -> (j, i) when G and
+H are one canonical graph. For a Cartesian product of connected factors
+with no common prime factor these generate the whole group (Sabidussi,
+Math. Z. 72, 1960), else a subgroup; no search runs on the product. A
+search that wants one optimum loads them when the first candidate branch
+anywhere in its tree returns. A node made before then tests its whole S and
+E once, when its own first candidate returns, and every later node
+inherits. So a node's list lacks any generator that maps its own sets onto
+themselves but not its parent's: it generates a subgroup of the stabilizer,
+found with no search per node, and a node that a bound prunes before it
+branches tests nothing. The enumeration run (optimal ties) loads none.
 
 Dominance cut. A candidate x of the branch vertex v is skipped when some
 refused u in N[v] dominates every unresolved vertex that x dominates: N[x]
@@ -256,11 +270,17 @@ def _cover_search(
     else:
         best = optimum + 1
         leaves = []
-    # automorphism generators with the vertices each moves, loaded for the
-    # orbit cut when the first candidate's branch returns
-    gens: Optional[list[tuple[list[int], int]]] = None
+    # the automorphism generators, loaded for the orbit cut when the first
+    # candidate's branch returns
+    gens: Optional[list[list[int]]] = None
 
-    def dfs(smask: int, covered: int, ones: int, excluded: int, cost: int, reach: int) -> None:
+    def dfs(
+        smask: int, covered: int, ones: int, excluded: int, cost: int, reach: int,
+        stab: Optional[list[list[int]]], added: int,
+    ) -> None:
+        # stab: the parent's generators, each mapping the parent's S and E
+        # onto themselves, or None before they load; added: the vertices
+        # this branch added to smask and excluded
         nonlocal best, gens
         ctr.nodes += 1
         if ctr.limit is not None and ctr.nodes > ctr.limit:
@@ -340,8 +360,10 @@ def _cover_search(
         v = undom & -undom
         nv = adjc[v.bit_length() - 1]
         cands = nv & allowed
+        if stab:
+            # the node's own generators, kept only by nodes that branch
+            stab = _stabilizing(stab, smask, excluded, added)
         ex = excluded
-        stab = None  # the generators fixing smask | excluded, once loaded
         tried = 0  # the orbit of the tried candidates under stab, and dominance skips
         while cands:
             lsb = cands & -cands
@@ -361,17 +383,17 @@ def _cover_search(
                 if dom:
                     tried |= lsb
                 else:
-                    dfs(smask | lsb, covered | nb, ones, ex, cost + pick, reach)
+                    # the child adds lsb to S and the earlier siblings to E
+                    dfs(smask | lsb, covered | nb, ones, ex, cost + pick, reach, stab,
+                        lsb | ex & ~excluded)
                     if gens is None and optimum is None:
-                        gens = [(p, mask_of(w for w in range(n) if p[w] != w))
-                                for p in g._automorphisms]
+                        gens = g._automorphisms
                     if gens is not None:
-                        fixed = smask | excluded
                         if stab is None:
-                            stab = [p for p, moved in gens if not moved & fixed]
+                            stab = _stabilizing(gens, smask, excluded, smask | excluded)
                         new = (ex | lsb) & ~excluded & ~tried
                         tried |= _orbit(stab, new) if stab else new
-                        if not fixed and tried == full:
+                        if not smask | excluded and tried == full:
                             return
             ex |= lsb
             if miss is not None:
@@ -385,10 +407,26 @@ def _cover_search(
                         reach ^= w
         if miss is not None:
             # no allowed neighbor of v ever joins S: v is charged miss
-            dfs(smask, covered, ones | v, ex, cost + miss, reach)
+            dfs(smask, covered, ones | v, ex, cost + miss, reach, stab, ex & ~excluded)
 
-    dfs(0, 0, 0, 0, 0, full)
+    dfs(0, 0, 0, 0, 0, full, None, 0)
     return best if optimum is None else optimum, leaves, ctr.nodes
+
+
+def _stabilizing(perms: list[list[int]], smask: int, excluded: int, new: int) -> list[list[int]]:
+    """The members of ``perms`` that map ``smask`` and ``excluded`` onto
+    themselves, given that each maps the two sets less the vertices of
+    ``new`` onto themselves: a permutation that does maps each of them
+    onto itself exactly when it maps each new vertex into its own set."""
+    tests = [(v, smask if smask >> v & 1 else excluded) for v in bits(new)]
+    kept = []
+    for p in perms:
+        for v, into in tests:
+            if not into >> p[v] & 1:
+                break
+        else:
+            kept.append(p)
+    return kept
 
 
 def _greedy_cover(adjc: list[int], full: int, pick: int, miss: Optional[int]) -> tuple[int, int]:

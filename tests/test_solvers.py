@@ -297,11 +297,13 @@ def test_gamma_r_of_q6_is_24():
     # the greedy seed already weighs 24, so the search only proves it; the
     # node pin guards Q6 in hypercube(6)'s labeling (72,876 nodes with the
     # index packing walk alone, 80,872 with the fewest-dominators walk
-    # alone, 58,061 with the generators loaded only after n^2 nodes). The
-    # families sweep solves another labeling: ORBIT_CUT_CASES' Q3xQ3
+    # alone, 58,061 with the generators loaded only after n^2 nodes, 56,990
+    # with the cut under the generators that move no vertex of S and none of
+    # the refused set). The families sweep solves another labeling:
+    # ORBIT_CUT_CASES' Q3xQ3
     res = roman_domination_number(g, budget=2_000_000)
     labels = res.witness.labels
-    assert (res.value, sum(labels), res.node_count) == (24, 24, 56_990)
+    assert (res.value, sum(labels), res.node_count) == (24, 24, 36_516)
     for v in range(n):
         assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
 
@@ -401,19 +403,22 @@ def test_node_counts_are_reported():
 # has 96 automorphisms, and its counts are the same either way. Q3xQ3 is Q6
 # as the families sweep solves it, on two canonical Q3s: another tree than
 # hypercube(6)'s, which took 5,352 and 62,701 nodes with the index packing
-# walk alone.
+# walk alone. With the cut under the generators that move no vertex of S
+# and none of the refused set, gamma_R took 778 nodes on C6xC7 and 277 on
+# Q3xC5, and gamma and gamma_R took 2,743 and 9,924 on P5xQ3 and 2,906 and
+# 45,587 on Q3xQ3.
 _CANONICAL_Q3 = Graph(8, hypercube(3).canonical_form)
 ORBIT_CUT_CASES = [
     (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 366,
-     20, "220200000000200020000200020200200000000020", 778),
+     20, "220200000000200020000200020200200000000020", 738),
     (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 165,
-     16, "2020020000000000002000000000200200202000", 277),
+     16, "2020020000000000002000000000200200202000", 254),
     (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 52,
      10, "20010002000000202010", 41),
-    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 2743,
-     18, "2200000000000022200000000002020020000020", 9924),
-    (_CANONICAL_Q3, _CANONICAL_Q3, 12, [0, 1, 8, 9, 18, 19, 31, 39, 45, 46, 52, 60], 2906,
-     24, "2200000022000000002200000000000200000002000002200000200000002000", 45587),
+    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 1841,
+     18, "2200000000000022200000000002020020000020", 7334),
+    (_CANONICAL_Q3, _CANONICAL_Q3, 12, [0, 1, 8, 9, 18, 19, 31, 39, 45, 46, 52, 60], 2491,
+     24, "2200000022000000002200000000000200000002000002200000200000002000", 20842),
 ]
 
 
@@ -439,8 +444,52 @@ def test_orbit_cut_on_k4_c11():
     # orbit cut at every node; the greedy seed is already optimal here, so
     # the tree is the proof, and the local bound and the dominance cut
     # shrink it (3,984 nodes with the generators loaded only after n^2 nodes)
-    res = domination_number(product(complete(4), cycle(11), CARTESIAN))
+    prod = product(complete(4), cycle(11), CARTESIAN)
+    res = domination_number(prod)
     assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 2640)
+    # gamma_R took 69,604 nodes with the cut under the generators that move
+    # no vertex of S and none of the refused set
+    res_r = roman_domination_number(prod)
+    got = (res_r.value, "".join(map(str, res_r.witness.labels)), res_r.node_count)
+    assert got == (22, "2" * 11 + "0" * 33, 30_742)
+
+
+def _image(p: list[int], mask: int) -> int:
+    return mask_of(p[v] for v in bits(mask))
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [(path(4), cycle(4)), (path(4), path(4)), (cycle(6), cycle(7))],
+    ids=lambda g: g.name(),
+)
+def test_orbit_cut_generators_map_each_nodes_sets_onto_themselves(monkeypatch, g, h):
+    # every generator list the cut uses at a node comes from _stabilizing:
+    # the root's (nothing added), that of a node made before the generators
+    # loaded (its whole S and E added), and each child's (the branch's
+    # vertices added). Each must hold exactly those of the given generators
+    # that map the node's S and refused set onto themselves, and on each
+    # product some list keeps a generator that moves a vertex of those sets
+    stabilizing = solvers._stabilizing
+    setwise = []
+
+    def checked(perms, smask, excluded, new):
+        kept = stabilizing(perms, smask, excluded, new)
+        for p in perms:
+            assert _image(p, smask & ~new) == smask & ~new
+            assert _image(p, excluded & ~new) == excluded & ~new
+        assert kept == [
+            p for p in perms if _image(p, smask) == smask and _image(p, excluded) == excluded
+        ]
+        setwise.append(any(p[v] != v for p in kept for v in bits(smask | excluded)))
+        return kept
+
+    monkeypatch.setattr(solvers, "_stabilizing", checked)
+    for kind in PRODUCT_KINDS:
+        prod = product(g, h, kind)
+        domination_number(prod)
+        roman_domination_number(prod)
+    assert any(setwise)
 
 
 def test_root_cut_needs_transitivity(monkeypatch):

@@ -664,9 +664,9 @@ def test_workers_solve_each_product_once(monkeypatch, tmp_path):
 
 
 # gamma_R(P5 x K4) on the product Env solves (the canonical graphs, P5
-# first, generators lifted from the factors) takes 91 nodes; the test checks
-# that premise first
-CLASS_PAIR_NODES = 91
+# first, generators lifted from the factors) takes 72 nodes (91 with no child
+# screen); the test checks that premise first
+CLASS_PAIR_NODES = 72
 
 
 @pytest.mark.parametrize("budget", [CLASS_PAIR_NODES - 1, CLASS_PAIR_NODES], ids=["short", "exact"])
@@ -766,11 +766,23 @@ def test_families_report_bytes_are_pinned():
     assert digest == "73a77d204034d6b692a93bcdaf7de0af7d40609cb8e77091c9a6574bf5bba2b5"
 
 
-def test_exhaustive_report_bytes_are_pinned():
-    # the bytes of `verify --corpus exhaustive --max-n 4 --budget 2000000`
+def test_exhaustive_report_bytes_are_pinned(monkeypatch):
+    # the bytes of `verify --corpus exhaustive --max-n 4 --budget 2000000`,
+    # and the nodes its serial covering searches spend, so that a kernel
+    # change that gives nodes back shows here (1,884 with no child screen)
+    nodes = []
+    search = solvers._cover_search
+
+    def counted(*args, **kwargs):
+        out = search(*args, **kwargs)
+        nodes.append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "_cover_search", counted)
     spec = SuiteSpec(graphs=tuple(exhaustive_corpus(4)), budget=2_000_000)
     digest = hashlib.sha256(report_to_json(run_suite(spec)).encode("ascii")).hexdigest()
     assert digest == "f896d45cc7f4c711514d7c4c1945319f67e44d3c7f7329e1a30898a509bd097a"
+    assert (len(nodes), sum(nodes)) == (210, 1_190)
 
 
 def _dumps(value) -> str:

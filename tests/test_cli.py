@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,19 @@ def test_solve_path_gamma_r(capsys):
     assert payload["graph"] == "P4"
     assert len(payload["witness"]) == 4
     assert payload["node_count"] >= 1
+
+
+def test_readme_solve_examples_print_their_output(capsys):
+    # each `romdom solve` line of README that a `# {...}` line follows
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8").splitlines()
+    examples = [
+        (cmd, out[2:]) for cmd, out in zip(lines, lines[1:])
+        if cmd.startswith("romdom solve ") and out.startswith("# {")
+    ]
+    assert examples
+    for cmd, want in examples:
+        code, out, _ = run_cli(capsys, *shlex.split(cmd)[1:])
+        assert (code, out.strip()) == (0, want), cmd
 
 
 def test_solve_star_gamma_r(capsys):

@@ -55,17 +55,19 @@ is built greedily, with one mask of the allowed vertices that dominate at
 least one member of T and one of those that dominate two; a vertex joins T
 unless one of its allowed dominators is saturated (the first mask for
 gamma, the second for gamma_R). The node dies as soon as |T| reaches
-best - cost. Any walk order gives a valid T, so two walks run. The first
-takes the unresolved vertices in index order. When it does not prune, the
-second takes them again, fewest allowed dominators first and index order
-on ties: the min-degree greedy for independent sets (Halldorsson &
-Radhakrishnan, Algorithmica 18, 1997). As the second walk it about halves
-the nodes on seeded random graphs. Alone it loses on hypercubes, which is
-why the index walk stays first: gamma_R(Q6) takes 72,876 nodes with the
-index walk alone, 80,872 with the sorted walk alone (and more CPU), and
-58,061 with both. The walks are bit operations only and run first.
+best - cost. Any walk order gives a valid T, so four walks run: the
+unresolved vertices in index order and in reverse index order, each as it
+is and stably sorted fewest allowed dominators first, the min-degree greedy
+for independent sets (Halldorsson & Radhakrishnan, Algorithmica 18, 1997).
+The index walk runs first and collects each vertex's allowed dominators;
+the other three run only when it does not prune. The orders pack different
+vertices, so each walk prunes nodes that the others do not: gamma_R(Q6)
+takes 23,702 nodes with the index walk alone, 19,262 with it and the sorted
+walk, and 16,024 with all four, and leaving out any one of the three later
+walks costs it 1,047 to 2,030 nodes. The walks are bit operations only and
+run first.
 
-Local bound. When neither walk prunes, the node sums a fractional point
+Local bound. When no walk prunes, the node sums a fractional point
 of the same dual (the fractional-domination dual; Grinstead & Slater,
 Congr. Numer. 71, 1990). Let U be the unresolved vertices, c_u the number
 of them that an allowed vertex u dominates, and c(v) the largest c_u over
@@ -78,12 +80,13 @@ least the sum of the charges. It is never below the global coverage
 bound ceil(pick * |U| / max c_u) capped at miss * |U|, since every c(v) is
 at most max c_u. The arithmetic is exact in integers scaled by L = lcm(1..top),
 top the largest closed neighborhood: share[c] = min(miss * L, pick * L / c)
-is built once per search, one pass over the allowed vertices ORs N[u] into
-bymax[c_u], and a descending pass over c gives each member of U the share
-of the highest level that reaches it, one mask AND per level. The node dies
-once the shares pass (best - cost - 1) * L, that is once cost plus the
-ceiling of the sum reaches best, or, for gamma, when some member of U has
-no allowed dominator. Both bounds prune only on >= best.
+is built once per search, one pass over the allowed vertices that dominate
+a member of U (the index walk collects them; no level reads c_u = 0) ORs
+N[u] into bymax[c_u], and a descending pass over c gives each member of U
+the share of the highest level that reaches it, one mask AND per level.
+The node dies once the shares pass (best - cost - 1) * L, that is once
+cost plus the ceiling of the sum reaches best, or, for gamma, when some
+member of U has no allowed dominator. Both bounds prune only on >= best.
 
 Child screening. A node that branches keeps what its bounds computed: for
 each walk, |T| and its masks one and two, and for the local bound, its
@@ -92,7 +95,8 @@ scaled sum Sigma of every y_v. Before the node enters the child of
 candidate x, it tests that child's bound from these. Each allowed x
 dominates at most pick members of T, [x in one] + [x in two] of them, and
 every other member of the child's S is allowed here too, so the child's
-completions cost at least cost + pick + |T| - [x in one] - [x in two]. The
+completions cost at least cost + pick + |T| - [x in one] - [x in two], for
+the T of every walk: the screen takes each walk's |T| less x's hits. The
 members of U outside N[x] still cost their shares, so those completions
 also cost at least cost + pick + ceil((Sigma - sum of y over N[x] meet U) /
 L); dual feasibility gives sum of y over N[x] meet U <= pick * L, so this
@@ -100,7 +104,7 @@ is never below the node's own bound. Lost vertices pay a miss of at least
 their y, so the miss branch, where v is lost, costs at least cost + miss +
 ceil((Sigma - y_v) / L). A child whose bound reaches best is skipped, and a
 node returns as soon as best <= cost plus its own bound, the largest of the
-two |T| and ceil(Sigma / L). Both bounds are at least the child's own cost,
+four |T| and ceil(Sigma / L). Both bounds are at least the child's own cost,
 so no node needs to test its cost on entry. Each test reads the current
 best, not the best at the node's entry, since an earlier sibling may have
 lowered it. This is reduced-cost fixing (Nemhauser & Wolsey, Integer and
@@ -112,8 +116,8 @@ would have found no leaf below best, so best and the leaves stay the same.
 So skipping keeps the first optimal leaf, which costs less than best until
 the search reaches it, and every tie, which costs best - 1 in the
 enumeration run, and the tree that is left is a subtree of the unscreened
-one. It took kernel-hard's nodes at seed 1 from 16,280 to 9,517 and
-gamma_R(Q6)'s from 36,516 to 19,262.
+one. With two walks it took kernel-hard's nodes at seed 1 from 16,280 to
+9,517 and gamma_R(Q6)'s from 36,516 to 19,262.
 
 All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
@@ -339,14 +343,15 @@ def _cover_search(
         # best - cost; one and two mark the allowed vertices that dominate
         # at least one and two members of T
         need = best - cost
-        one = two = 0
-        doms = []  # the allowed dominators of each unresolved vertex
+        one = two = near = 0
+        doms = []  # the allowed dominators of each unresolved vertex, ORed into near
         t = undom
         while t:
             lsb = t & -t
             t ^= lsb
             d = adjc[lsb.bit_length() - 1] & allowed
             doms.append(d)
+            near |= d
             if not d & (one if pick == 1 else two):
                 need -= 1
                 if not need:
@@ -354,23 +359,30 @@ def _cover_search(
                 two |= one & d
                 one |= d
         size1, one1, two1 = best - cost - need, one, two  # |T| and its masks
-        # the second walk: fewest allowed dominators first, index order on ties
-        need = best - cost
-        one = two = 0
-        for d in sorted(doms, key=int.bit_count):
-            if not d & (one if pick == 1 else two):
-                need -= 1
-                if not need:
-                    return
-                two |= one & d
-                one |= d
-        size2, one2, two2 = best - cost - need, one, two
+        # three more walks: fewest allowed dominators first, the reverse
+        # index order, and the reverse sorted the same way (a stable sort, so
+        # ties keep their order)
+        walks = []
+        rev = doms[::-1]
+        for order in (sorted(doms, key=int.bit_count), rev, sorted(rev, key=int.bit_count)):
+            need = best - cost
+            one = two = 0
+            for d in order:
+                if not d & (one if pick == 1 else two):
+                    need -= 1
+                    if not need:
+                        return
+                    two |= one & d
+                    one |= d
+            walks.append((best - cost - need, one, two))
+        (size2, one2, two2), (size3, one3, two3), (size4, one4, two4) = walks
         # local bound (module docstring): bymax[c] ORs the closed
-        # neighborhoods of the allowed vertices that cover c unresolved ones,
-        # and each unresolved vertex pays the share of the highest c that
-        # reaches it, out of room = (best - cost - 1) * scale
+        # neighborhoods of the vertices of near (the allowed vertices that
+        # dominate an unresolved one) that cover c unresolved ones, and each
+        # unresolved vertex pays the share of the highest c that reaches it,
+        # out of room = (best - cost - 1) * scale
         bymax = [0] * (top + 1)
-        t = allowed
+        t = near
         while t:
             lsb = t & -t
             t ^= lsb
@@ -394,7 +406,7 @@ def _cover_search(
         # child screen (module docstring): the scaled dual sum, and the
         # node's own lower bound
         dual = (best - cost - 1) * scale - room
-        floor = cost + max(size1, size2, -(-dual // scale))
+        floor = cost + max(size1, size2, size3, size4, -(-dual // scale))
         v = undom & -undom
         nv = adjc[v.bit_length() - 1]
         cands = nv & allowed
@@ -422,14 +434,16 @@ def _cover_search(
                     tried |= lsb
                 else:
                     # child screen (module docstring): the child is entered
-                    # only if neither walk's T less the members lsb dominates
-                    # nor the dual sum less their shares reaches gap, what
-                    # is left below best past cost + pick
+                    # only if no walk's T less the members lsb dominates nor
+                    # the dual sum less their shares reaches gap, what is
+                    # left below best past cost + pick
                     gap = best - cost - pick
                     slack = dual - (gap - 1) * scale
                     if (
                         size1 - (one1 & lsb > 0) - (two1 & lsb > 0) < gap
                         and size2 - (one2 & lsb > 0) - (two2 & lsb > 0) < gap
+                        and size3 - (one3 & lsb > 0) - (two3 & lsb > 0) < gap
+                        and size4 - (one4 & lsb > 0) - (two4 & lsb > 0) < gap
                         and (slack <= 0
                              or slack <= sum(y * (nb & hit).bit_count() for y, hit in levels))
                     ):

@@ -2,8 +2,9 @@
 
 The instances are the ones the kernel's cuts and bounds move most, past the
 brute-force oracles' reach: kernel-hard's three products, P5 x Q3 and
-C8 x C6, at 35 to 48 vertices, and seeded G(30, 75) graphs, where the
-packing bound's fewest-dominators walk prunes most.
+C8 x C6, at 35 to 48 vertices, Cartesian and strong, and seeded G(30, 75)
+graphs, where the packing bound's fewest-dominators walk prunes most. The
+extremal case of C-RR3, C5 x C5, is checked here as well.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ pytest.importorskip("scipy")
 
 from romdom import (  # noqa: E402
     CARTESIAN,
+    STRONG,
     complete,
     cycle,
     domination_number,
@@ -43,6 +45,29 @@ def test_gamma_and_gamma_r_match_the_milp_oracle(g, h):
     edges = prod.edges()
     assert domination_number(prod).value == milp_gamma(prod.n, edges)
     assert roman_domination_number(prod).value == milp_gamma_r(prod.n, edges)
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    PRODUCTS + [(cycle(5), cycle(5))],
+    ids=["K4xC11", "C6xC7", "Q3xC5", "P5xQ3", "C8xC6", "C5xC5"],
+)
+def test_strong_products_match_the_milp_oracle(g, h):
+    prod = product(g, h, STRONG)
+    edges = prod.edges()
+    assert domination_number(prod).value == milp_gamma(prod.n, edges)
+    assert roman_domination_number(prod).value == milp_gamma_r(prod.n, edges)
+
+
+def test_c_rr3_extremal_values_match_the_milp_oracle():
+    # a sweep of the Cartesian class pairs on 2 to 6 vertices found
+    # gamma_R(G x H) / (gamma_R(G) gamma_R(H) / 3) smallest at C5 x C5
+    # alone: 10 / (16 / 3) = 15/8
+    c5 = cycle(5)
+    prod = product(c5, c5, CARTESIAN)
+    assert domination_number(prod).value == milp_gamma(25, prod.edges()) == 5
+    assert roman_domination_number(prod).value == milp_gamma_r(25, prod.edges()) == 10
+    assert roman_domination_number(c5).value == milp_gamma_r(5, c5.edges()) == 4
 
 
 def test_random_graphs_match_the_milp_oracle():

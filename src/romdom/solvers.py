@@ -24,9 +24,10 @@ set, the search carries the mask reach of the vertices that still have an
 allowed member of their closed neighborhood, and a node charges every
 unresolved vertex outside reach at once, with one popcount. reach shrinks
 only when a candidate becomes refused: tried, or skipped by the orbit or
-dominance cut (below). Then only members of its closed neighborhood can
-lose their last allowed dominator, and those that do drop out. For gamma
-the node dies when the local bound's scan (below) finds such a vertex.
+dominance cut (below), or when reduced-cost fixing (below) rules vertices
+out. Then only members of its closed neighborhood can lose their last
+allowed dominator, and those that do drop out. For gamma the node dies when
+the local bound's scan (below) or the fixing finds such a vertex.
 
 Greedy seed. Before the search, ``_greedy_cover`` builds one solution with
 the classical greedy cover (Johnson 1974; Chvatal 1979): it takes the
@@ -61,11 +62,11 @@ is and stably sorted fewest allowed dominators first, the min-degree greedy
 for independent sets (Halldorsson & Radhakrishnan, Algorithmica 18, 1997).
 The index walk runs first and collects each vertex's allowed dominators;
 the other three run only when it does not prune. The orders pack different
-vertices, so each walk prunes nodes that the others do not: gamma_R(Q6)
-takes 23,702 nodes with the index walk alone, 19,262 with it and the sorted
-walk, and 16,024 with all four, and leaving out any one of the three later
-walks costs it 1,047 to 2,030 nodes. The walks are bit operations only and
-run first.
+vertices, so each walk prunes nodes that the others do not: before
+reduced-cost fixing (below), gamma_R(Q6) took 23,702 nodes with the index
+walk alone, 19,262 with it and the sorted walk, and 16,024 with all four,
+and leaving out any one of the three later walks cost it 1,047 to 2,030
+nodes. The walks are bit operations only and run first.
 
 Local bound. When no walk prunes, the node sums a fractional point
 of the same dual (the fractional-domination dual; Grinstead & Slater,
@@ -88,27 +89,54 @@ The node dies once the shares pass (best - cost - 1) * L, that is once
 cost plus the ceiling of the sum reaches best, or, for gamma, when some
 member of U has no allowed dominator. Both bounds prune only on >= best.
 
-Child screening. A node that branches keeps what its bounds computed: for
-each walk, |T| and its masks one and two, and for the local bound, its
-levels, each a share and the members v of U it charges (their y_v), and the
-scaled sum Sigma of every y_v. Before the node enters the child of
-candidate x, it tests that child's bound from these. Each allowed x
-dominates at most pick members of T, [x in one] + [x in two] of them, and
-every other member of the child's S is allowed here too, so the child's
-completions cost at least cost + pick + |T| - [x in one] - [x in two], for
-the T of every walk: the screen takes each walk's |T| less x's hits. The
-members of U outside N[x] still cost their shares, so those completions
-also cost at least cost + pick + ceil((Sigma - sum of y over N[x] meet U) /
-L); dual feasibility gives sum of y over N[x] meet U <= pick * L, so this
-is never below the node's own bound. Lost vertices pay a miss of at least
-their y, so the miss branch, where v is lost, costs at least cost + miss +
-ceil((Sigma - y_v) / L). A child whose bound reaches best is skipped, and a
-node returns as soon as best <= cost plus its own bound, the largest of the
-four |T| and ceil(Sigma / L). Both bounds are at least the child's own cost,
-so no node needs to test its cost on entry. Each test reads the current
-best, not the best at the node's entry, since an earlier sibling may have
-lowered it. This is reduced-cost fixing (Nemhauser & Wolsey, Integer and
-Combinatorial Optimization, 1988) on the two duals. A screened candidate
+Reduced-cost fixing. The walks also price each allowed vertex u (Nemhauser
+& Wolsey, Integer and Combinatorial Optimization, 1988; for set covering,
+Balas & Carrera, Oper. Res. 44, 1996). u dominates at most [u in one] +
+[u in two] members of a walk's T, and every other member still costs at
+least 1, as above, so every completion that puts u in S costs at least
+cost + pick + |T| - [u in one] - [u in two]. When that reaches best for
+some walk, u is fixed: it leaves the allowed set for the node's whole
+subtree, whose completions are the node's own, and best only falls there.
+No walk reaches best - cost, so with gap = best - cost - pick a walk fixes
+near minus one when |T| = gap, and near minus two when |T| = gap + 1
+(gamma_R only): two mask operations, near being the allowed vertices that
+dominate an unresolved one, the only ones that are ever a candidate in the
+subtree. Fixed vertices stay out of E, so the generators that the orbit cut
+keeps need not map them onto themselves, and the dominance cut's refusers
+are unchanged. The orbit cut stays sound: a completion that an
+automorphism maps into a finished branch was either explored there or holds
+a vertex fixed there, and then costs at least best. reach follows the fixed
+set: each time it grows, the unresolved vertices with no dominator left
+outside the refused vertices and the fixed ones drop out of reach, and pay
+their miss in the children; for gamma, the node dies. Fewer dominators can
+pack a larger T, so the node then walks again, in the four orders over each
+unresolved vertex's dominators less the fixed ones (sorted again by what is
+left), and fixes again with the new walks and the old ones, which keep
+their T (a greedy walk over fewer dominators can pack a smaller one), until
+nothing new is fixed; a walk that reaches best - cost ends the node. After
+a child lowers best, the node fixes again at the new best. The first
+optimal leaf costs less than best until the search reaches it, and every
+tie of the enumeration run costs best - 1, so neither holds a fixed vertex:
+values, witnesses and optimal ties cannot change. gamma_R(Q6) took 16,024
+nodes with no fixing and 3,340 with it, and kernel-hard at seed 1 7,396 and
+3,541.
+
+Child screening. A node that branches keeps the local bound's levels, each
+a share and the members v of U it charges (their y_v), and the scaled sum
+Sigma of every y_v. Before the node enters the child of candidate x, it
+tests that child's bound. A fixed x is not entered: its completions cost at
+least best. The members of U outside N[x] still cost their shares, so the
+completions of any other x cost at least cost + pick + ceil((Sigma - sum of
+y over N[x] meet U) / L); dual feasibility gives sum of y over N[x] meet U
+<= pick * L, so this is never below the node's own bound. Lost vertices pay
+a miss of at least their y, so the miss branch, where v is lost, costs at
+least cost + miss + ceil((Sigma - y_v) / L). A child whose bound reaches
+best is skipped, and a node returns as soon as best <= cost plus its own
+bound, the largest of its walks' |T| and ceil(Sigma / L). The tests of a
+candidate and of the miss branch keep out every child whose own cost
+reaches best, so no node needs to test its cost on entry. Each test reads
+the current best, not the best at the node's entry, since an earlier
+sibling may have lowered it. A screened candidate
 gets exactly the bookkeeping of a branch that returned: the generators
 load, the orbit cut closes the tried candidates, and it is refused to the
 later siblings and the miss branch, with reach updated. Entered, its branch
@@ -116,8 +144,9 @@ would have found no leaf below best, so best and the leaves stay the same.
 So skipping keeps the first optimal leaf, which costs less than best until
 the search reaches it, and every tie, which costs best - 1 in the
 enumeration run, and the tree that is left is a subtree of the unscreened
-one. With two walks it took kernel-hard's nodes at seed 1 from 16,280 to
-9,517 and gamma_R(Q6)'s from 36,516 to 19,262.
+one. Before reduced-cost fixing, with two walks whose test it applied to
+the candidates alone, the screen took kernel-hard's nodes at seed 1 from
+16,280 to 9,517 and gamma_R(Q6)'s from 36,516 to 19,262.
 
 All searches visit vertices in ascending index order and report the first
 optimum they complete, so witnesses are deterministic. Node budgets cap the
@@ -127,11 +156,10 @@ Orbit cut. Let a node have 2-set S and refused set E. Its completions are
 the sets T that contain S and miss E, at cost pick * |T| + miss * |V minus
 N[T]|. An automorphism sigma that maps S onto S and E onto E maps
 completions onto completions at the same cost, since it maps N[T] onto
-N[sigma(T)]. It keeps the node's own state too: reach is the vertices w
-whose N[w] is not inside E, the charged misses are the vertices outside
-N[S] and reach, and the node's cost is pick * |S| plus miss per charged
-vertex, all carried onto themselves. Each node that branches keeps those of
-its parent's generators that map its own S and E onto themselves as well.
+N[sigma(T)]. (The fixed vertices of reduced-cost fixing need not map onto
+themselves: a completion that holds one costs at least best.) Each node
+that branches keeps those of its parent's generators that map its own S and
+E onto themselves as well.
 Only the vertices its branch added need a test. A child adds the picked
 candidate x to S (none in the miss branch) and the siblings refused so far,
 R, to E. A permutation that maps S onto S maps S + x onto itself exactly
@@ -311,17 +339,18 @@ def _cover_search(
 
     def dfs(
         smask: int, covered: int, ones: int, excluded: int, cost: int, reach: int,
-        stab: Optional[list[list[int]]], added: int,
+        stab: Optional[list[list[int]]], added: int, fixed: int,
     ) -> None:
         # stab: the parent's generators, each mapping the parent's S and E
         # onto themselves, or None before they load; added: the vertices
-        # this branch added to smask and excluded
+        # this branch added to smask and excluded; fixed: the vertices that
+        # reduced-cost fixing keeps out of S in this subtree, apart from E
         nonlocal best, gens
         ctr.nodes += 1
         if ctr.limit is not None and ctr.nodes > ctr.limit:
             raise BudgetExceeded(ctr.nodes)
         # cost < best here: the child screen enters no child at or above best
-        allowed = full & ~excluded
+        allowed = full & ~excluded & ~fixed
         undom = full & ~covered & ~ones
         if miss is not None:
             # reach: the vertices with an allowed dominator left
@@ -358,24 +387,29 @@ def _cover_search(
                     return
                 two |= one & d
                 one |= d
-        size1, one1, two1 = best - cost - need, one, two  # |T| and its masks
+        walks = [(best - cost - need, one, two)]  # |T| and its masks, per walk
+
+        def walk(orders) -> bool:
+            # the walks after the first, appended to walks; True once one prunes
+            for order in orders:
+                need = best - cost
+                one = two = 0
+                for d in order:
+                    if not d & (one if pick == 1 else two):
+                        need -= 1
+                        if not need:
+                            return True
+                        two |= one & d
+                        one |= d
+                walks.append((best - cost - need, one, two))
+            return False
+
         # three more walks: fewest allowed dominators first, the reverse
         # index order, and the reverse sorted the same way (a stable sort, so
         # ties keep their order)
-        walks = []
         rev = doms[::-1]
-        for order in (sorted(doms, key=int.bit_count), rev, sorted(rev, key=int.bit_count)):
-            need = best - cost
-            one = two = 0
-            for d in order:
-                if not d & (one if pick == 1 else two):
-                    need -= 1
-                    if not need:
-                        return
-                    two |= one & d
-                    one |= d
-            walks.append((best - cost - need, one, two))
-        (size2, one2, two2), (size3, one3, two3), (size4, one4, two4) = walks
+        if walk((sorted(doms, key=int.bit_count), rev, sorted(rev, key=int.bit_count))):
+            return
         # local bound (module docstring): bymax[c] ORs the closed
         # neighborhoods of the vertices of near (the allowed vertices that
         # dominate an unresolved one) that cover c unresolved ones, and each
@@ -403,17 +437,54 @@ def _cover_search(
                     break
         if rest:
             return  # gamma only: some unresolved vertex has no allowed dominator
-        # child screen (module docstring): the scaled dual sum, and the
-        # node's own lower bound
+        # child screen (module docstring): the scaled dual sum
         dual = (best - cost - 1) * scale - room
-        floor = cost + max(size1, size2, size3, size4, -(-dual // scale))
+        ex = excluded
+        floor = 0
+
+        def fix() -> bool:
+            # reduced-cost fixing (module docstring): fix each vertex of near
+            # that some walk's T rules out, drop from reach the unresolved
+            # vertices left with no allowed dominator, and walk again over
+            # the dominators left, until nothing new is fixed; then set the
+            # node's own lower bound, for the screen; True once a walk prunes
+            nonlocal fixed, reach, doms, floor
+            gap = best - cost - pick
+            while True:
+                new = 0
+                for size, one, two in walks:
+                    if size == gap:
+                        new |= near & ~one
+                    elif size > gap:
+                        new |= near & ~two
+                new &= ~fixed
+                if not new:
+                    floor = cost + max(max(size for size, _, _ in walks), -(-dual // scale))
+                    return False
+                fixed |= new
+                doms = [d & ~new for d in doms]
+                if miss is None:
+                    if not all(doms):
+                        return True  # an unresolved vertex has no allowed dominator
+                else:
+                    t = undom & reach
+                    while t:
+                        w = t & -t
+                        t ^= w
+                        if not adjc[w.bit_length() - 1] & ~ex & ~fixed:
+                            reach ^= w
+                rev = doms[::-1]
+                if walk((doms, sorted(doms, key=int.bit_count), rev, sorted(rev, key=int.bit_count))):
+                    return True
+
+        if fix():
+            return
         v = undom & -undom
         nv = adjc[v.bit_length() - 1]
-        cands = nv & allowed
+        cands = nv & ~excluded
         if stab:
             # the node's own generators, kept only by nodes that branch
             stab = _stabilizing(stab, smask, excluded, added)
-        ex = excluded
         tried = 0  # the orbit of the tried candidates under stab, and dominance skips
         while cands:
             lsb = cands & -cands
@@ -423,8 +494,9 @@ def _cover_search(
                 # dominance cut (module docstring): dom keeps the refused
                 # members of N[v] that dominate every unresolved vertex of
                 # N[lsb], and lsb is skipped if one is left; they all
-                # dominate v, which lies in N[lsb]
-                dom = nv & ex if optimum is None else 0
+                # dominate v, which lies in N[lsb]; a fixed lsb is screened
+                # without the test
+                dom = nv & ex if optimum is None and not lsb & fixed else 0
                 t = (nb & undom) ^ v
                 while t and dom:
                     w = t & -t
@@ -433,23 +505,19 @@ def _cover_search(
                 if dom:
                     tried |= lsb
                 else:
-                    # child screen (module docstring): the child is entered
-                    # only if no walk's T less the members lsb dominates nor
-                    # the dual sum less their shares reaches gap, what is
-                    # left below best past cost + pick
-                    gap = best - cost - pick
-                    slack = dual - (gap - 1) * scale
-                    if (
-                        size1 - (one1 & lsb > 0) - (two1 & lsb > 0) < gap
-                        and size2 - (one2 & lsb > 0) - (two2 & lsb > 0) < gap
-                        and size3 - (one3 & lsb > 0) - (two3 & lsb > 0) < gap
-                        and size4 - (one4 & lsb > 0) - (two4 & lsb > 0) < gap
-                        and (slack <= 0
-                             or slack <= sum(y * (nb & hit).bit_count() for y, hit in levels))
-                    ):
-                        # the child adds lsb to S and the earlier siblings to E
-                        dfs(smask | lsb, covered | nb, ones, ex, cost + pick, reach, stab,
-                            lsb | ex & ~excluded)
+                    if not lsb & fixed:
+                        # child screen (module docstring): the child is
+                        # entered only if the dual sum less the shares of
+                        # the members lsb dominates does not reach gap, what
+                        # is left below best past cost + pick
+                        slack = dual - (best - cost - pick - 1) * scale
+                        if slack <= 0 or slack <= sum(y * (nb & hit).bit_count() for y, hit in levels):
+                            # the child adds lsb to S and the earlier siblings to E
+                            was = best
+                            dfs(smask | lsb, covered | nb, ones, ex, cost + pick, reach, stab,
+                                lsb | ex & ~excluded, fixed)
+                            if best < was and fix():
+                                return  # fixed again at the lower best, a walk pruned
                     if gens is None and optimum is None:
                         gens = g._automorphisms
                     if best <= floor:
@@ -469,15 +537,15 @@ def _cover_search(
                 while t:
                     w = t & -t
                     t ^= w
-                    if not adjc[w.bit_length() - 1] & ~ex:
+                    if not adjc[w.bit_length() - 1] & ~ex & ~fixed:
                         reach ^= w
         if miss is not None:
             # no allowed neighbor of v ever joins S: v is charged miss, and
             # the screen drops its share from the dual sum
             if dual - sum(y for y, hit in levels if hit & v) <= (best - cost - miss - 1) * scale:
-                dfs(smask, covered, ones | v, ex, cost + miss, reach, stab, ex & ~excluded)
+                dfs(smask, covered, ones | v, ex, cost + miss, reach, stab, ex & ~excluded, fixed)
 
-    dfs(0, 0, 0, 0, 0, full, None, 0)
+    dfs(0, 0, 0, 0, 0, full, None, 0, 0)
     return best if optimum is None else optimum, leaves, ctr.nodes
 
 

@@ -680,9 +680,10 @@ def test_workers_solve_each_product_once(monkeypatch, tmp_path):
 
 
 # gamma_R(P5 x K4) on the product Env solves (the canonical graphs, P5
-# first, generators lifted from the factors) takes 64 nodes (91 with no child
-# screen, 72 with two packing walks); the test checks that premise first
-CLASS_PAIR_NODES = 64
+# first, generators lifted from the factors) takes 31 nodes (91 with no child
+# screen, 72 with two packing walks, 64 with four and no reduced-cost
+# fixing); the test checks that premise first
+CLASS_PAIR_NODES = 31
 
 
 @pytest.mark.parametrize("budget", [CLASS_PAIR_NODES - 1, CLASS_PAIR_NODES], ids=["short", "exact"])
@@ -786,7 +787,8 @@ def test_exhaustive_report_bytes_are_pinned(monkeypatch):
     # the bytes of `verify --corpus exhaustive --max-n 4 --budget 2000000`,
     # and the nodes its serial covering searches spend, so that a kernel
     # change that gives nodes back shows here (1,884 with no child screen,
-    # 1,190 with two packing walks)
+    # 1,190 with two packing walks, 1,079 with four and no reduced-cost
+    # fixing)
     nodes = []
     search = solvers._cover_search
 
@@ -799,7 +801,7 @@ def test_exhaustive_report_bytes_are_pinned(monkeypatch):
     spec = SuiteSpec(graphs=tuple(exhaustive_corpus(4)), budget=2_000_000)
     digest = hashlib.sha256(report_to_json(run_suite(spec)).encode("ascii")).hexdigest()
     assert digest == "f896d45cc7f4c711514d7c4c1945319f67e44d3c7f7329e1a30898a509bd097a"
-    assert (len(nodes), sum(nodes)) == (210, 1_079)
+    assert (len(nodes), sum(nodes)) == (210, 880)
 
 
 def _dumps(value) -> str:

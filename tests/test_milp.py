@@ -4,7 +4,8 @@ The instances are the ones the kernel's cuts and bounds move most, past the
 brute-force oracles' reach: kernel-hard's three products, P5 x Q3 and
 C8 x C6, at 35 to 48 vertices, Cartesian and strong, and seeded G(30, 75)
 graphs, where the packing bound's fewest-dominators walk prunes most. The
-extremal case of C-RR3, C5 x C5, is checked here as well.
+extremal case of C-RR3, C5 x C5, is checked here as well, and so is every
+product of the default corpus up to 48 vertices, as the sweeps solve it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ pytest.importorskip("scipy")
 from romdom import (  # noqa: E402
     CARTESIAN,
     STRONG,
+    Graph,
     complete,
     cycle,
     domination_number,
@@ -27,6 +29,7 @@ from romdom import (  # noqa: E402
     product,
     roman_domination_number,
 )
+from romdom.bounds import _pair_product, default_corpus  # noqa: E402
 
 from milp import milp_gamma, milp_gamma_r  # noqa: E402
 
@@ -77,3 +80,26 @@ def test_random_graphs_match_the_milp_oracle():
         g = from_edges(30, edges)
         assert domination_number(g).value == milp_gamma(30, edges), edges
         assert roman_domination_number(g).value == milp_gamma_r(30, edges), edges
+
+
+def test_default_corpus_products_match_the_milp_oracle():
+    # one product per unordered pair of the default corpus's classes, up to
+    # 48 vertices, of both kinds: on the canonical graphs, larger first and
+    # with the generators lifted from the factors, as Env solves a pair
+    classes = {}
+    for g in default_corpus():
+        classes.setdefault((g.n, g.canonical_form), Graph(g.n, g.canonical_form))
+    graphs = list(classes.values())
+    checked = 0
+    for i, a in enumerate(graphs):
+        for b in graphs[i:]:
+            if a.n * b.n > 48:
+                continue
+            first, second = sorted((a, b), key=lambda p: (p.n, p.adj), reverse=True)
+            for kind in (CARTESIAN, STRONG):
+                prod = _pair_product(kind, first, second)
+                edges = prod.edges()
+                assert domination_number(prod).value == milp_gamma(prod.n, edges), (a, b, kind)
+                assert roman_domination_number(prod).value == milp_gamma_r(prod.n, edges), (a, b, kind)
+                checked += 1
+    assert checked == 154

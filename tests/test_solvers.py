@@ -300,11 +300,12 @@ def test_gamma_r_of_q6_is_24():
     # alone, 58,061 with the generators loaded only after n^2 nodes, 56,990
     # with the cut under the generators that move no vertex of S and none of
     # the refused set, 36,516 with every child entered before its screen,
-    # 19,262 with the index walk and the fewest-dominators walk alone).
+    # 19,262 with the index walk and the fewest-dominators walk alone,
+    # 16,024 with four walks and no reduced-cost fixing).
     # The families sweep solves another labeling: ORBIT_CUT_CASES' Q3xQ3
     res = roman_domination_number(g, budget=2_000_000)
     labels = res.witness.labels
-    assert (res.value, sum(labels), res.node_count) == (24, 24, 16_024)
+    assert (res.value, sum(labels), res.node_count) == (24, 24, 3_340)
     for v in range(n):
         assert labels[v] or any(labels[v ^ 1 << i] == 2 for i in range(6)), v
 
@@ -315,7 +316,7 @@ def test_packing_walks_on_random_graphs():
     # prunes where the index walk does not. The index walk alone took 1,504
     # gamma and 2,942 gamma_R nodes to the same values, the index and the
     # fewest-dominators walks 879 and 1,200 with no child screen and 504 and
-    # 709 with it
+    # 709 with it, and four walks 384 and 572 with no reduced-cost fixing
     pairs = [(u, v) for v in range(1, 30) for u in range(v)]
     values, nodes, nodes_r = [], 0, 0
     for seed in range(8):
@@ -327,7 +328,7 @@ def test_packing_walks_on_random_graphs():
         nodes += res.node_count
         nodes_r += res_r.node_count
     assert values == [(6, 12), (6, 12), (6, 11), (7, 12), (6, 11), (7, 12), (6, 12), (6, 11)]
-    assert (nodes, nodes_r) == (384, 572)
+    assert (nodes, nodes_r) == (146, 144)
 
 
 def test_efficient_dominating_sets_have_size_gamma():
@@ -414,19 +415,21 @@ def test_node_counts_are_reported():
 # on P4xC5, 1,841 and 7,334 on P5xQ3 and 2,491 and 20,842 on Q3xQ3. With
 # the packing walks in index order and fewest dominators first only, they
 # took 184 and 465 on C6xC7, 85 and 160 on Q3xC5, 26 and 16 on P4xC5, 774
-# and 3,030 on P5xQ3 and 1,653 and 13,478 on Q3xQ3.
+# and 3,030 on P5xQ3 and 1,653 and 13,478 on Q3xQ3. With four walks and no
+# reduced-cost fixing, 103 and 288, 75 and 135, 25 and 14, 741 and 2,797,
+# and 1,244 and 8,355.
 _CANONICAL_Q3 = Graph(8, hypercube(3).canonical_form)
 ORBIT_CUT_CASES = [
-    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 103,
-     20, "220200000000200020000200020200200000000020", 288),
-    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 75,
-     16, "2020020000000000002000000000200200202000", 135),
-    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 25,
-     10, "20010002000000202010", 14),
-    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 741,
-     18, "2200000000000022200000000002020020000020", 2797),
-    (_CANONICAL_Q3, _CANONICAL_Q3, 12, [0, 1, 8, 9, 18, 19, 31, 39, 45, 46, 52, 60], 1244,
-     24, "2200000022000000002200000000000200000002000002200000200000002000", 8355),
+    (cycle(6), cycle(7), 10, [0, 1, 3, 12, 16, 21, 25, 27, 30, 40], 45,
+     20, "220200000000200020000200020200200000000020", 59),
+    (hypercube(3), cycle(5), 8, [0, 2, 5, 18, 28, 31, 34, 36], 36,
+     16, "2020020000000000002000000000200200202000", 57),
+    (path(4), cycle(5), 6, [0, 1, 2, 13, 14, 16], 10,
+     10, "20010002000000202010", 9),
+    (path(5), hypercube(3), 9, [0, 1, 14, 15, 16, 27, 29, 32, 38], 365,
+     18, "2200000000000022200000000002020020000020", 643),
+    (_CANONICAL_Q3, _CANONICAL_Q3, 12, [0, 1, 8, 9, 18, 19, 31, 39, 45, 46, 52, 60], 582,
+     24, "2200000022000000002200000000000200000002000002200000200000002000", 2590),
 ]
 
 
@@ -453,16 +456,17 @@ def test_orbit_cut_on_k4_c11():
     # the tree is the proof, and the local bound and the dominance cut
     # shrink it (3,984 nodes with the generators loaded only after n^2 nodes,
     # 2,640 with every child entered before its screen, 1,890 with two
-    # packing walks)
+    # packing walks, 1,525 with four and no reduced-cost fixing)
     prod = product(complete(4), cycle(11), CARTESIAN)
     res = domination_number(prod)
-    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 1525)
+    assert (res.value, sorted(bits(res.witness)), res.node_count) == (11, list(range(11)), 1523)
     # gamma_R took 69,604 nodes with the cut under the generators that move
     # no vertex of S and none of the refused set, 30,742 with no child screen,
-    # 25,781 with two packing walks
+    # 25,781 with two packing walks, 23,659 with four and no reduced-cost
+    # fixing
     res_r = roman_domination_number(prod)
     got = (res_r.value, "".join(map(str, res_r.witness.labels)), res_r.node_count)
-    assert got == (22, "2" * 11 + "0" * 33, 23_659)
+    assert got == (22, "2" * 11 + "0" * 33, 10_304)
 
 
 def _image(p: list[int], mask: int) -> int:

@@ -130,6 +130,14 @@ class Env:
     So every labeling of a class (pair) reads the same values and meets the
     same failures, in every task. Only ``witness_payload`` gives labeled
     objects: the graphs and the products read, as graph6.
+
+    Every gamma and gamma_R solve reads only the value, so it passes
+    ``first=False`` and starts from the greedy seed as its incumbent; only
+    ``max_b2``'s "solver-witness" fallback reads a witness and keeps the
+    default. The solves call the names ``domination_number`` and
+    ``roman_domination_number`` of this module, which perfbench's node
+    meter and the tests wrap: a solve through any other name would drop
+    out of their node counts without saving a node.
     """
 
     def __init__(self, g: Graph, h: Optional[Graph] = None, budget: Optional[int] = None):
@@ -197,11 +205,13 @@ class Env:
         if second.n == 1:
             # K1 x B is B in both kinds: B's factor class value, under its key
             factor = name.removesuffix("_prod")
-            return self._by_components(factor, first, lambda gr: solver(gr, self.budget).value)
+            return self._by_components(
+                factor, first, lambda gr: solver(gr, self.budget, first=False).value
+            )
         return _memoized(
             self._sweep,
             ("part", name, kind, frozenset((a.adj, b.adj))),
-            lambda: solver(_pair_product(kind, first, second), self.budget).value,
+            lambda: solver(_pair_product(kind, first, second), self.budget, first=False).value,
         )
 
     # -- factor invariants
@@ -213,13 +223,15 @@ class Env:
         return self.graph(x).edge_count()
 
     def gamma(self, x: str) -> int:
-        return self._factor("gamma", x, lambda gr: domination_number(gr, self.budget).value)
+        return self._factor(
+            "gamma", x, lambda gr: domination_number(gr, self.budget, first=False).value
+        )
 
     def gammar(self, x: str) -> int:
         return self._factor("gammar", x, self._solve_gammar)
 
     def _solve_gammar(self, gr: Graph) -> int:
-        return roman_domination_number(gr, self.budget).value
+        return roman_domination_number(gr, self.budget, first=False).value
 
     def p2(self, x: str) -> int:
         return self._factor("p2", x, lambda gr: two_packing_number(gr, self.budget).value)

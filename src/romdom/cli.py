@@ -130,7 +130,9 @@ def _solve_one(g: Graph, invariant: str, budget: Optional[int]) -> dict:
         codes = efficient_dominating_sets(g, budget)
         value, witness, node_count = len(codes), [sorted(bits(c)) for c in codes], None
     elif invariant == "roman":
-        gamma, gamma_r = domination_number(g, budget), roman_domination_number(g, budget)
+        # no witness printed: both solves value-only
+        gamma = domination_number(g, budget, first=False)
+        gamma_r = roman_domination_number(g, budget, first=False)
         value, witness = is_roman_values(gamma.value, gamma_r.value), None
         node_count = gamma.node_count + gamma_r.node_count
     else:  # enumerate-rdfs

@@ -126,7 +126,7 @@ def swap_construction(g: Graph, h: Graph, budget: Optional[int] = None) -> Const
     weight = g.n * f2.weight - b1.bit_count() * (a0.bit_count() - a2.bit_count())
     rdf = _weighed("swap_construction", RomanFunction(tuple(labels)), weight)
     if any(c.bit_count() > 2 for c in components(g)):
-        claimed = (g.n + 1) * f2.weight - 2 * domination_number(h, budget).value
+        claimed = (g.n + 1) * f2.weight - 2 * domination_number(h, budget, first=False).value
     else:
         claimed = weight
     return ConstructionOutcome(rdf, claimed, prod, f"g:{mode_g},h:{mode_h}")

@@ -36,15 +36,27 @@ index on ties, until every vertex is covered for gamma, and for gamma_R only
 while that vertex covers more than pick / miss = 2 new ones, the rest paying
 their miss. Its weight w is an upper bound on the optimum, and best starts
 at w + 1 (for gamma_R at most n, which the S = empty completion, the
-incumbent in place, already costs). The greedy set is never the incumbent,
-and best does not start at w: then an optimal greedy set would prune the
-path to every optimal leaf. The witness is unchanged: until the search
-reaches its first optimal leaf in search order, best is w + 1 or the cost
-of a worse leaf, so it stays above the optimum; no bound prunes the path to
-that leaf, along which cost plus bound never exceeds the optimum, and no
-orbit cut skips it, since the automorphism behind the cut would map it
-onto an earlier optimal leaf. The greedy pass is bit operations outside the
-tree, not a node.
+incumbent in place, already costs). By default the greedy set is never
+the incumbent, and best does not start at w: then an optimal greedy set
+would prune the path to every optimal leaf. The witness is unchanged:
+until the search reaches its first optimal leaf in search order, best is
+w + 1 or the cost of a worse leaf, so it stays above the optimum; no bound
+prunes the path to that leaf, along which cost plus bound never exceeds the
+optimum, and no orbit cut skips it, since the automorphism behind the cut
+would map it onto an earlier optimal leaf. The greedy pass is bit
+operations outside the tree, not a node.
+
+Value-only start. A caller that reads only the value passes ``first=False``
+(``bounds.Env`` does for every solve but one). Then the greedy set is the
+incumbent: best starts at w, and the leaf in place is the greedy S with the
+vertices outside N[S] charged. Every bound and screen prunes only on
+>= best, so the value stays exact, and the search skips the path down to
+the first optimal leaf whenever the seed is optimal already, which on the
+product sweeps it mostly is. The witness follows a fixed rule. When w is
+the optimum, no leaf costs less, best never falls, and the greedy set is
+the witness. Otherwise best is at least the optimum plus one until the
+search reaches its first optimal leaf, so the argument above still holds,
+and the witness is that leaf, as with the default start.
 
 Packing bound. Any set T of unresolved vertices such that every allowed
 vertex dominates at most pick of them is an integral point of the dual of
@@ -149,7 +161,8 @@ the candidates alone, the screen took kernel-hard's nodes at seed 1 from
 16,280 to 9,517 and gamma_R(Q6)'s from 36,516 to 19,262.
 
 All searches visit vertices in ascending index order and report the first
-optimum they complete, so witnesses are deterministic. Node budgets cap the
+optimum they complete (value-only: the greedy set when it is optimal), so
+witnesses are deterministic. Node budgets cap the
 search size; running out raises BudgetExceeded rather than returning a guess.
 
 Orbit cut. Let a node have 2-set S and refused set E. Its completions are
@@ -303,7 +316,13 @@ class _Counter:
 
 
 def _cover_search(
-    g: Graph, budget: Optional[int], pick: int, miss: Optional[int], optimum: Optional[int] = None
+    g: Graph,
+    budget: Optional[int],
+    pick: int,
+    miss: Optional[int],
+    optimum: Optional[int] = None,
+    *,
+    first: bool = True,
 ) -> tuple[int, list[tuple[int, int]], int]:
     """Minimize pick * |S| + miss * |V minus N[S]| over vertex sets S, where
     ``miss=None`` forbids undominated vertices (see the module docstring).
@@ -311,6 +330,9 @@ def _cover_search(
     Returns the optimum, a list of optimal pairs (S, the vertices outside
     N[S], charged ``miss`` each) and the node count: the first optimum in
     search order or, given the ``optimum``, all of them (optimal ties).
+    With ``first=False`` the greedy seed is the incumbent, and the one
+    optimum is the greedy set when that is optimal, else the first optimum
+    in search order (value-only start, module docstring).
     """
     n = g.n
     full = g.full_mask
@@ -325,11 +347,15 @@ def _cover_search(
     ctr = _Counter(budget)
     if optimum is None:
         # the greedy seed (module docstring): one above its weight, so the
-        # search still reaches its own first optimum
+        # search still reaches its own first optimum, or, value-only, the
+        # incumbent itself
         s, ones = _greedy_cover(adjc, full, pick, miss)
         seed = pick * s.bit_count() + (miss * ones.bit_count() if ones else 0)
-        best = min(n + 1 if miss is None else miss * n, seed + 1)
-        leaves = [(0, full)]
+        if first:
+            best = min(n + 1 if miss is None else miss * n, seed + 1)
+            leaves = [(0, full)]
+        else:
+            best, leaves = seed, [(s, ones)]
     else:
         best = optimum + 1
         leaves = []
@@ -583,16 +609,26 @@ def _greedy_cover(adjc: list[int], full: int, pick: int, miss: Optional[int]) ->
     return smask, full & ~covered
 
 
-def domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
-    """Minimum size of a set whose closed neighborhoods cover every vertex."""
-    value, [(smask, _)], nodes = _cover_search(g, budget, pick=1, miss=None)
+def domination_number(
+    g: Graph, budget: Optional[int] = None, *, first: bool = True
+) -> InvariantResult:
+    """Minimum size of a set whose closed neighborhoods cover every vertex.
+
+    The witness is the first minimum set in search order; with
+    ``first=False``, for a caller that reads only the value, the search
+    starts from the greedy seed as its incumbent and usually takes fewer
+    nodes, and the witness is the greedy set when that is optimal (see
+    ``_cover_search``)."""
+    value, [(smask, _)], nodes = _cover_search(g, budget, pick=1, miss=None, first=first)
     return InvariantResult(value, smask, nodes)
 
 
-def roman_domination_number(g: Graph, budget: Optional[int] = None) -> InvariantResult:
+def roman_domination_number(
+    g: Graph, budget: Optional[int] = None, *, first: bool = True
+) -> InvariantResult:
     """Minimum Roman weight: 2 per vertex of S, plus a forced 1 on each vertex
-    outside N[S]."""
-    value, [(smask, ones)], nodes = _cover_search(g, budget, pick=2, miss=1)
+    outside N[S]. ``first`` is as in ``domination_number``."""
+    value, [(smask, ones)], nodes = _cover_search(g, budget, pick=2, miss=1, first=first)
     return InvariantResult(value, roman_function_from_b2(g.n, smask, ones), nodes)
 
 

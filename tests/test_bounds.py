@@ -9,7 +9,9 @@ import io
 import json
 import multiprocessing
 import os
+import sys
 import traceback
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -202,7 +204,7 @@ def test_strong_minus_note_reports_selection():
 
 
 def test_budget_skip_records_reason():
-    rec = evaluate("EQ-chino", path(5), path(5), budget=10)
+    rec = evaluate("EQ-chino", path(5), path(5), budget=3)
     assert rec.status == "budget-skipped"
     assert "budget" in rec.reason or "nodes" in rec.reason
     assert rec.lhs is None
@@ -288,7 +290,7 @@ def test_suite_max_product_filters_pairs():
 
 
 def test_suite_budget_skips_are_counted():
-    spec = SuiteSpec(graphs=(path(5),), theorems=("EQ-chino",), products=(CARTESIAN,), budget=5)
+    spec = SuiteSpec(graphs=(path(5),), theorems=("EQ-chino",), products=(CARTESIAN,), budget=3)
     report = run_suite(spec)
     assert report["summary"]["budget_skipped"] == 1
     assert suite_ok(report)  # nothing checked, nothing violated
@@ -597,9 +599,9 @@ def test_no_automorphism_search_on_products(monkeypatch):
     for name in ("domination_number", "roman_domination_number"):
         solve = getattr(bounds, name)
 
-        def logged(g, *args, _solve=solve, _name=name):
+        def logged(g, *args, _solve=solve, _name=name, **kwargs):
             solved.append((_name, g.n))
-            return _solve(g, *args)
+            return _solve(g, *args, **kwargs)
 
         monkeypatch.setattr(bounds, name, logged)
     bounds._run_item((cycle(6), cycle(7), CART_IDS, None), {})
@@ -632,10 +634,9 @@ def test_lifted_products_match_bruteforce(monkeypatch, g, h):
     for name in ("domination_number", "roman_domination_number"):
         solve = getattr(bounds, name)
 
-        def logged(gr, *args, _solve=solve):
-            res = _solve(gr, *args)
-            solved.append((gr, res))
-            return res
+        def logged(gr, *args, _solve=solve, _name=name, **kwargs):
+            solved.append((_name, gr))
+            return _solve(gr, *args, **kwargs)
 
         monkeypatch.setattr(bounds, name, logged)
     env = Env(g, h)
@@ -643,12 +644,15 @@ def test_lifted_products_match_bruteforce(monkeypatch, g, h):
         prod = product(g, h, kind)
         assert env.gamma_prod(kind) == brute_gamma(prod.n, prod.edges())[0]
         assert env.gammar_prod(kind) == brute_gamma_r_subsets(prod.n, prod.edges())
-    # each product Env solved gives the first optimum in search order, as
-    # with no orbit cut at all
-    solved = [(gr, res) for gr, res in solved if gr.n == g.n * h.n]
+    # Env's solves are value-only; the default solve of each product Env
+    # solved (the same graph object, its generators lifted from the
+    # factors) gives the first optimum in search order, as with no orbit
+    # cut at all
+    solved = [(name, gr) for name, gr in solved if gr.n == g.n * h.n]
     assert len(solved) == 4
-    for gr, res in solved:
-        if isinstance(res.witness, int):
+    for name, gr in solved:
+        res = getattr(solvers, name)(gr)
+        if name == "domination_number":
             want = brute_first_optimum(gr.n, gr.edges(), 1, None)
             assert (res.value, tuple(bits(res.witness))) == want
         else:
@@ -680,10 +684,11 @@ def test_workers_solve_each_product_once(monkeypatch, tmp_path):
 
 
 # gamma_R(P5 x K4) on the product Env solves (the canonical graphs, P5
-# first, generators lifted from the factors) takes 31 nodes (91 with no child
-# screen, 72 with two packing walks, 64 with four and no reduced-cost
-# fixing); the test checks that premise first
-CLASS_PAIR_NODES = 31
+# first, generators lifted from the factors), value-only as Env solves it,
+# takes 28 nodes (31 from the default start; 91 with no child screen, 72
+# with two packing walks, 64 with four and no reduced-cost fixing); the
+# test checks that premise first
+CLASS_PAIR_NODES = 28
 
 
 @pytest.mark.parametrize("budget", [CLASS_PAIR_NODES - 1, CLASS_PAIR_NODES], ids=["short", "exact"])
@@ -691,14 +696,15 @@ CLASS_PAIR_NODES = 31
                          ids=["P5-first", "K4-first"])
 def test_budget_outcome_is_shared_across_orientations(monkeypatch, order, budget):
     p5, k4 = (Graph(g.n, g.canonical_form) for g in (path(5), complete(4)))
-    nodes = solvers.roman_domination_number(bounds._pair_product(CARTESIAN, p5, k4)).node_count
+    prod = bounds._pair_product(CARTESIAN, p5, k4)
+    nodes = solvers.roman_domination_number(prod, first=False).node_count
     assert nodes == CLASS_PAIR_NODES
     solved = []
     solve = bounds.roman_domination_number
 
-    def recorded(g, *args):
+    def recorded(g, *args, **kwargs):
         solved.append(g.n)
-        return solve(g, *args)
+        return solve(g, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "roman_domination_number", recorded)
     spec = SuiteSpec(graphs=order, products=(CARTESIAN,), budget=budget)
@@ -786,9 +792,9 @@ def test_families_report_bytes_are_pinned():
 def test_exhaustive_report_bytes_are_pinned(monkeypatch):
     # the bytes of `verify --corpus exhaustive --max-n 4 --budget 2000000`,
     # and the nodes its serial covering searches spend, so that a kernel
-    # change that gives nodes back shows here (1,884 with no child screen,
-    # 1,190 with two packing walks, 1,079 with four and no reduced-cost
-    # fixing)
+    # change that gives nodes back shows here (880 from the default start,
+    # before Env's solves went value-only; 1,884 with no child screen, 1,190
+    # with two packing walks, 1,079 with four and no reduced-cost fixing)
     nodes = []
     search = solvers._cover_search
 
@@ -801,7 +807,61 @@ def test_exhaustive_report_bytes_are_pinned(monkeypatch):
     spec = SuiteSpec(graphs=tuple(exhaustive_corpus(4)), budget=2_000_000)
     digest = hashlib.sha256(report_to_json(run_suite(spec)).encode("ascii")).hexdigest()
     assert digest == "f896d45cc7f4c711514d7c4c1945319f67e44d3c7f7329e1a30898a509bd097a"
-    assert (len(nodes), sum(nodes)) == (210, 880)
+    assert (len(nodes), sum(nodes)) == (210, 441)
+
+
+def test_products_sweep_search_nodes_are_pinned(monkeypatch):
+    # the nodes the serial covering searches of the sweep-products
+    # benchmark's sweep spend: the 448 default-corpus products of at most 48
+    # vertices and their factors (2,776 from the default start, before Env's
+    # solves went value-only)
+    nodes = []
+    search = solvers._cover_search
+
+    def counted(*args, **kwargs):
+        out = search(*args, **kwargs)
+        nodes.append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "_cover_search", counted)
+    run_suite(SuiteSpec(default_corpus(), products=(CARTESIAN, STRONG), max_product=48))
+    assert (len(nodes), sum(nodes)) == (296, 1899)
+
+
+def test_env_solves_are_value_only_and_metered(monkeypatch):
+    # Env reads only values, so every gamma and gamma_R solve passes
+    # first=False, but for max_b2's "solver-witness" fallback, which reads a
+    # witness (the enumeration guard is lowered to 4, so P5 reaches it). And
+    # every covering search but the optimal-tie runs goes through the
+    # bounds names that perfbench's node meter wraps, so a meter there sees
+    # all of their nodes
+    monkeypatch.setattr(solvers, "DEFAULT_ENUM_GUARD", 4)
+    fallback = {c for c in Env.max_b2.__code__.co_consts if isinstance(c, types.CodeType)}
+    calls, searched = [], []
+    for name in ("domination_number", "roman_domination_number"):
+        solve = getattr(bounds, name)
+
+        def metered(g, *args, _solve=solve, **kwargs):
+            res = _solve(g, *args, **kwargs)
+            calls.append((kwargs, sys._getframe(1).f_code in fallback, res.node_count))
+            return res
+
+        monkeypatch.setattr(bounds, name, metered)
+    search = solvers._cover_search
+
+    def counted(*args, **kwargs):
+        out = search(*args, **kwargs)
+        if kwargs.get("optimum") is None:
+            searched.append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "_cover_search", counted)
+    # K2+K1 makes component pairs, K1 x K2 among them
+    graphs = (path(5), cycle(4), complete(2), from_edges(3, [(0, 1)], "K2+K1"))
+    run_suite(SuiteSpec(graphs=graphs))
+    assert any(fb for _, fb, _ in calls)
+    assert all(kwargs == ({} if fb else {"first": False}) for kwargs, fb, _ in calls)
+    assert sum(nodes for *_, nodes in calls) == sum(searched) > 0
 
 
 def _dumps(value) -> str:
@@ -1036,7 +1096,7 @@ def test_serial_sweep_yields_before_the_last_item(monkeypatch):
 
 
 def test_failing_item_names_itself(monkeypatch):
-    def broken(g, budget=None):
+    def broken(g, budget=None, **kwargs):
         raise ZeroDivisionError("broken solver")
 
     monkeypatch.setattr(bounds, "roman_domination_number", broken)

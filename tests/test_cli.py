@@ -89,8 +89,9 @@ def test_solve_roman_flag(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "cycle:6", "--invariant", "roman")
     payload = json.loads(out)
     assert payload["value"] is True
-    # both searches: gamma and gamma_R
-    nodes = domination_number(cycle(6)).node_count + roman_domination_number(cycle(6)).node_count
+    # both searches, value-only: gamma and gamma_R
+    gamma = domination_number(cycle(6), first=False)
+    nodes = gamma.node_count + roman_domination_number(cycle(6), first=False).node_count
     assert payload["node_count"] == nodes
 
 
@@ -310,7 +311,7 @@ def test_verify_report_through_a_symlink_is_written_in_place(tmp_path, capsysbin
 
 
 def test_verify_failing_item_exits_2_and_leaves_no_output(tmp_path, capsys, monkeypatch):
-    def broken(g, budget=None):
+    def broken(g, budget=None, **kwargs):
         raise ZeroDivisionError("broken solver")
 
     monkeypatch.setattr("romdom.bounds.roman_domination_number", broken)
@@ -406,11 +407,22 @@ def test_verify_products_are_normalized(tmp_path, capsys):
             ("--corpus", "families", "--max-product", "48", "--jobs", "2"),
             "73a77d204034d6b692a93bcdaf7de0af7d40609cb8e77091c9a6574bf5bba2b5",
         ),
+        # the widest sweep: every pair of the family corpus, no --max-product
+        (
+            ("--corpus", "families", "--jobs", "1"),
+            "db242695cce395a338ae15b8daa0ae9d70492f573781556edb366827374ef399",
+        ),
+        (
+            ("--corpus", "families", "--jobs", "2"),
+            "db242695cce395a338ae15b8daa0ae9d70492f573781556edb366827374ef399",
+        ),
     ],
-    ids=["exhaustive-jobs1", "exhaustive-jobs2", "families-jobs2"],
+    ids=["exhaustive-jobs1", "exhaustive-jobs2", "families-jobs2", "families-all-jobs1",
+         "families-all-jobs2"],
 )
 def test_verify_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    # the digests the in-process pins in test_bounds.py hold, through the CLI
+    # the digests the in-process pins in test_bounds.py hold, through the
+    # CLI, and the widest sweep's
     report = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "verify", *argv, "--budget", "2000000", "--report", str(report))
     assert code == 0

@@ -552,3 +552,47 @@ def test_default_corpus_products_keep_values_and_witnesses():
                 line = f"{prod.name()} {res.value} {res.witness} {res_r.value} {labels}\n"
                 digest.update(line.encode())
     assert digest.hexdigest() == "00d5bb6f8c72dc7216d63fbb3b13294fe355ae9cdaa9b9dcc6318f8b2fdc02da"
+
+
+def _value_only_graphs() -> list[tuple[Graph, bool]]:
+    """The 448 default-corpus products of at most 48 vertices, both kinds,
+    and 600 seeded random graphs on 4 to 18 vertices, each flagged True
+    when it is random and small enough for the oracles."""
+    corpus = default_corpus()
+    graphs = [
+        (product(g, h, kind), False)
+        for kind in PRODUCT_KINDS
+        for g in corpus
+        for h in corpus
+        if g.n * h.n <= 48
+    ]
+    for seed in range(600):
+        rng = random.Random(f"value-only:{seed}")
+        n = rng.randint(4, 18)
+        density = rng.uniform(0.1, 0.6)
+        edges = [(u, v) for v in range(1, n) for u in range(v) if rng.random() < density]
+        graphs.append((from_edges(n, edges), n <= 12))
+    return graphs
+
+
+def test_value_only_start_keeps_values_and_fixes_its_witness():
+    # first=False starts at the greedy seed's weight with the greedy set in
+    # place: the value is the default start's, and the witness is the greedy
+    # set exactly when the seed is optimal, else the default start's first
+    # optimum in search order
+    graphs = _value_only_graphs()
+    assert len(graphs) == 448 + 600
+    for g, small in graphs:
+        adjc, full = g.closed_adj(), g.full_mask
+        values = []
+        for solve, pick, miss in ((domination_number, 1, None), (roman_domination_number, 2, 1)):
+            res, fast = solve(g), solve(g, first=False)
+            assert fast.value == res.value, (g.name(), solve.__name__)
+            smask, ones = _greedy_cover(adjc, full, pick, miss)
+            seed = pick * smask.bit_count() + (miss or 0) * ones.bit_count()
+            greedy = smask if miss is None else roman_function_from_b2(g.n, smask, ones)
+            assert fast.witness == (greedy if seed == res.value else res.witness), g.name()
+            values.append(fast.value)
+        if small:
+            edges = list(g.edges())
+            assert values == [brute_gamma(g.n, edges)[0], brute_gamma_r_subsets(g.n, edges)], edges
